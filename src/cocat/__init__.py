@@ -8,7 +8,6 @@ the generic axiom checker and classification cascade in
 """
 
 from .core import (
-    AxiomReport,
     CategoryCapabilities,
     Classification,
     CoCategoryData,
@@ -16,9 +15,9 @@ from .core import (
     InternalCategoryData,
     PullbackWitness,
     PushoutWitness,
+    Report,
     check_cocat_morphism,
     check_cocategory,
-    check_copreorder,
     classify,
     cokernel_pair,
     find_coinverse,
@@ -27,7 +26,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport",
     "CategoryCapabilities",
     "Classification",
     "CoCategoryData",
@@ -35,9 +33,9 @@ __all__ = [
     "InternalCategoryData",
     "PullbackWitness",
     "PushoutWitness",
+    "Report",
     "check_cocat_morphism",
     "check_cocategory",
-    "check_copreorder",
     "classify",
     "cokernel_pair",
     "find_coinverse",

@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 from .core import (
     CategoryCapabilities,
     Check,
-    AxiomReport,
     CoCategoryData,
     CoconeMismatch,
     ConeMismatch,
@@ -37,19 +36,18 @@ from .core import (
     NotFree,
     PullbackWitness,
     PushoutWitness,
+    Report,
     TypeMismatch,
     UnsupportedCapability,
     double_and_triple,
 )
-from .intmatrix import (  # noqa: F401  (hnf/snf re-exported: this module's decision procedures)
+from .intmatrix import (
     IntMatrix,
     Lattice,
     cokernel,
-    hnf,
     hstack,
     kernel_basis,
-    snf,
-    solve,
+    solve_affine,
     solve_matrix,
     vstack,
     _hnf,
@@ -303,7 +301,8 @@ class AbGp(CategoryCapabilities):
         li = data.l.matrix @ data.i.matrix
         ri = data.r.matrix @ data.i.matrix
 
-        def residual(smat: IntMatrix) -> list[int]:
+        def residual(mats: list[IntMatrix]) -> list[int]:
+            (smat,) = mats
             out: list[int] = []
             for m in (
                 smat @ data.l.matrix - data.r.matrix,
@@ -314,20 +313,10 @@ class AbGp(CategoryCapabilities):
                 out.extend(x for row in m.data for x in row)
             return out
 
-        base = residual(IntMatrix.zeros(n, n))
-        columns = []
-        for p in range(n):
-            for c in range(n):
-                unit = IntMatrix.from_rows(
-                    [[1 if (i, j) == (p, c) else 0 for j in range(n)] for i in range(n)],
-                    cols=n)
-                columns.append([x - y for x, y in zip(residual(unit), base)])
-        system = IntMatrix.from_cols(columns, rows=len(base))
-        sol = solve(system, [-x for x in base])
+        sol = solve_affine(residual, [n])
         if sol is None:
             return None
-        smat = IntMatrix.from_rows([list(sol[p * n:(p + 1) * n]) for p in range(n)], cols=n)
-        return AbMap(data.q1, data.q1, smat)
+        return AbMap(data.q1, data.q1, sol[0])
 
     def injections_cover(self, witness: PushoutWitness):
         status, _ = self.joint_epi_status(witness.injections)
@@ -452,7 +441,7 @@ def _pair(witness: PullbackWitness, u: AbMap, v: AbMap) -> AbMap:
     return AbMap(u.dom, witness.apex, w)
 
 
-def check_internal_category(icat: InternalCategoryData) -> AxiomReport:
+def check_internal_category(icat: InternalCategoryData) -> Report:
     """The mirror-image axiom check for an internal category in AbGp:
     source/target of units and composites, unit laws and associativity,
     with pairings obtained by exact linear solving against the
@@ -493,4 +482,4 @@ def check_internal_category(icat: InternalCategoryData) -> AxiomReport:
     except ConeMismatch as exc:
         checks.append(Check("assoc", False, f"pairing undefined: {exc}"))
 
-    return AxiomReport(tuple(checks))
+    return Report(tuple(checks))

@@ -36,7 +36,7 @@ from .core import (
     UnsupportedCapability,
     double_and_triple,
 )
-from .intmatrix import IntMatrix, hstack, invert_unimodular, snf, solve, diagonal
+from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf, solve_affine
 from .abgp import ABGP, AbMap, FgAbGroup, free_group
 from .fincat import FinCategory, FunctorData
 
@@ -135,10 +135,6 @@ def chain_compose(f: ChainMap, g: ChainMap) -> ChainMap:
 # Capabilities instance (degreewise delegation to the group engine)
 
 
-def _free(rank: int) -> FgAbGroup:
-    return free_group(rank)
-
-
 class Ch(CategoryCapabilities):
     name = "chain"
 
@@ -161,8 +157,8 @@ class Ch(CategoryCapabilities):
         degs = f.dom.max_degree
         witnesses = []
         for d in range(degs + 1):
-            fa = AbMap(_free(f.dom.ranks[d]), _free(f.cod.ranks[d]), f.mats[d])
-            ga = AbMap(_free(g.dom.ranks[d]), _free(g.cod.ranks[d]), g.mats[d])
+            fa = AbMap(free_group(f.dom.ranks[d]), free_group(f.cod.ranks[d]), f.mats[d])
+            ga = AbMap(free_group(g.dom.ranks[d]), free_group(g.cod.ranks[d]), g.mats[d])
             w = ABGP.pushout(fa, ga)
             if not w.apex.is_free:
                 raise NotFree(f"pushout has torsion in degree {d}")
@@ -171,9 +167,9 @@ class Ch(CategoryCapabilities):
         diffs = []
         for d in range(1, degs + 1):
             i1d, i2d = witnesses[d - 1].injections
-            u = AbMap(_free(f.cod.ranks[d]), i1d.cod,
+            u = AbMap(free_group(f.cod.ranks[d]), i1d.cod,
                       i1d.matrix @ f.cod.diff(d))
-            v = AbMap(_free(g.cod.ranks[d]), i2d.cod,
+            v = AbMap(free_group(g.cod.ranks[d]), i2d.cod,
                       i2d.matrix @ g.cod.diff(d))
             diffs.append(ABGP.copair(witnesses[d], u, v).matrix)
         apex = ChainComplex(ranks, tuple(diffs))
@@ -192,8 +188,8 @@ class Ch(CategoryCapabilities):
             raise UnsupportedCapability("witness lacks degreewise bookkeeping")
         mats = []
         for d, w in enumerate(witness.payload["degrees"]):
-            ua = AbMap(w.injections[0].dom, _free(u.cod.ranks[d]), u.mats[d])
-            va = AbMap(w.injections[1].dom, _free(v.cod.ranks[d]), v.mats[d])
+            ua = AbMap(w.injections[0].dom, free_group(u.cod.ranks[d]), u.mats[d])
+            va = AbMap(w.injections[1].dom, free_group(v.cod.ranks[d]), v.mats[d])
             mats.append(ABGP.copair(w, ua, va).matrix)
         return ChainMap(witness.apex, u.cod, tuple(mats))
 
@@ -202,8 +198,6 @@ class Ch(CategoryCapabilities):
         cod = maps[0].cod
         if any(m.cod != cod for m in maps):
             raise TypeMismatch("joint-epi test needs a common codomain")
-        from .intmatrix import cokernel
-
         for d in range(cod.max_degree + 1):
             stacked = hstack(*(m.mats[d] for m in maps))
             factors = cokernel(stacked)
@@ -240,27 +234,9 @@ class Ch(CategoryCapabilities):
                 out.extend(x for row in m.data for x in row)
             return out
 
-        zero = [IntMatrix.zeros(r, r) for r in ranks]
-        base = residual(zero)
-        slots = [(d, p, c) for d in range(degs + 1)
-                 for p in range(ranks[d]) for c in range(ranks[d])]
-        columns = []
-        for d, p, c in slots:
-            unit = list(zero)
-            unit[d] = IntMatrix.from_rows(
-                [[1 if (i, j) == (p, c) else 0 for j in range(ranks[d])]
-                 for i in range(ranks[d])], cols=ranks[d])
-            columns.append([x - y for x, y in zip(residual(unit), base)])
-        system = IntMatrix.from_cols(columns, rows=len(base))
-        sol = solve(system, [-x for x in base])
-        if sol is None:
+        mats = solve_affine(residual, ranks)
+        if mats is None:
             return None
-        mats = []
-        pos = 0
-        for r in ranks:
-            mats.append(IntMatrix.from_rows(
-                [list(sol[pos + p * r:pos + (p + 1) * r]) for p in range(r)], cols=r))
-            pos += r * r
         return ChainMap(q1, q1, tuple(mats))
 
     def injections_cover(self, witness: PushoutWitness):
@@ -269,10 +245,6 @@ class Ch(CategoryCapabilities):
 
 
 CH = Ch()
-
-
-def pushout_chain(f: ChainMap, g: ChainMap) -> PushoutWitness:
-    return CH.pushout(f, g)
 
 
 # ---------------------------------------------------------------------------

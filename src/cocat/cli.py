@@ -44,20 +44,13 @@ EXAMPLES = ("finset-cokernel", "abgp-example", "chain-example", "cat-interval", 
 
 
 @dataclass
-class CheckResult:
-    name: str
-    status: str  # pass | fail | unknown
-    detail: Optional[str] = None
-
-
-@dataclass
 class Report:
     command: str
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: list[core.Check] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     def add(self, name: str, ok: bool, detail: Optional[str] = None) -> None:
-        self.checks.append(CheckResult(name, "pass" if ok else "fail", detail))
+        self.checks.append(core.Check(name, ok, detail))
 
     def expect_flag(self, name: str, actual: Optional[bool], expected: bool) -> None:
         shown = "unknown" if actual is None else str(actual).lower()
@@ -66,14 +59,18 @@ class Report:
 
     @property
     def exit_code(self) -> int:
-        return 0 if all(c.status == "pass" for c in self.checks) else 1
+        return 0 if all(c.ok for c in self.checks) else 1
+
+
+def _status(check: core.Check) -> str:
+    return "pass" if check.ok else "fail"
 
 
 def _emit(report: Report, fmt: str) -> None:
     if fmt == "json":
         payload = {
             "command": report.command,
-            "checks": [{"name": c.name, "status": c.status, "detail": c.detail}
+            "checks": [{"name": c.name, "status": _status(c), "detail": c.detail}
                        for c in report.checks],
             "summary": report.summary,
             "exit_code": report.exit_code,
@@ -81,13 +78,13 @@ def _emit(report: Report, fmt: str) -> None:
         click.echo(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for c in report.checks:
-            line = f"{c.status.upper():4}  {c.name}"
+            line = f"{_status(c).upper():4}  {c.name}"
             if c.detail:
                 line += f"  ({c.detail})"
             click.echo(line)
         for key in sorted(report.summary):
             click.echo(f"      {key}: {report.summary[key]}")
-        passed = sum(1 for c in report.checks if c.status == "pass")
+        passed = sum(1 for c in report.checks if c.ok)
         click.echo(f"{len(report.checks)} checks: {passed} passed, "
                    f"{len(report.checks) - passed} failed")
     raise SystemExit(report.exit_code)
@@ -304,10 +301,9 @@ def classify_cmd(category: str, path: str, fmt: str) -> None:
         raise click.UsageError(f"ParseError: {exc}")
     host = HOSTS[category]
     report = Report(command=f"classify --category {category}")
-    axioms = check_cocategory(host, data)
-    report.add("cocategory-axioms", axioms.ok,
-               None if axioms.ok else f"failed: {', '.join(axioms.failures)}")
     cls = classify_data(host, data)
+    report.add("cocategory-axioms", cls.is_cocategory,
+               None if cls.is_cocategory else f"failed: {', '.join(cls.witnesses['axioms'])}")
     for flag in ("is_cocategory", "is_copreorder", "is_cogroupoid", "is_coequivalence"):
         value = getattr(cls, flag)
         report.summary[flag.replace("_", "-")] = "unknown" if value is None else value

@@ -157,8 +157,9 @@ class Check:
 
 
 @dataclass(frozen=True)
-class AxiomReport:
-    """Per-axiom pass/fail results of :func:`check_cocategory`."""
+class Report:
+    """Named pass/fail results, e.g. the axioms checked by
+    :func:`check_cocategory` or the squares of a co-category morphism."""
 
     checks: tuple[Check, ...]
 
@@ -175,21 +176,6 @@ class AxiomReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-@dataclass(frozen=True)
-class MorphismReport:
-    """Result of checking a candidate co-category morphism (f0, f1)."""
-
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def failures(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.ok)
 
 
 @dataclass(frozen=True)
@@ -247,19 +233,7 @@ class CategoryCapabilities:
         """
         raise NotImplementedError
 
-    # -- optional coherent / auxiliary structure ------------------------
-
-    def pullback(self, f, g):
-        raise UnsupportedCapability(f"{self.name}: pullback")
-
-    def equalizer(self, f, g):
-        raise UnsupportedCapability(f"{self.name}: equalizer")
-
-    def image(self, f):
-        raise UnsupportedCapability(f"{self.name}: image")
-
-    def union(self, s1, s2):
-        raise UnsupportedCapability(f"{self.name}: union")
+    # -- optional structure -------------------------------------------
 
     def joint_epi_status(self, maps) -> tuple[Optional[bool], Any]:
         """(True/False/None, witness) for "the family is jointly epi"."""
@@ -272,12 +246,6 @@ class CategoryCapabilities:
     def solve_coinverse(self, data: CoCategoryData):
         """Solve directly for a co-inverse; None means provably none."""
         raise UnsupportedCapability(f"{self.name}: co-inverse solving")
-
-    def is_mono(self, f) -> bool:
-        raise UnsupportedCapability(f"{self.name}: mono test")
-
-    def is_epi(self, f) -> bool:
-        raise UnsupportedCapability(f"{self.name}: epi test")
 
     def is_pushout(self, witness: PushoutWitness) -> Optional[bool]:
         """Whether the witness really is a pushout; None = untestable."""
@@ -384,7 +352,7 @@ def _validate_witnesses(cat: CategoryCapabilities, data: CoCategoryData) -> None
 
 
 def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData,
-                     *, validate_witnesses: bool = True) -> AxiomReport:
+                     *, validate_witnesses: bool = True) -> Report:
     """Check the co-category axioms, one named entry per diagram.
 
     Copairings such as [q, nu3] only exist when their cocone condition
@@ -424,7 +392,7 @@ def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData,
     except CoconeMismatch as exc:
         checks.append(Check("coassoc", False, f"copairing undefined: {exc}"))
 
-    return AxiomReport(tuple(checks))
+    return Report(tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +442,18 @@ def find_coinverse(cat: CategoryCapabilities, data: CoCategoryData):
     Prefers the host's direct solver; otherwise exhausts the host's
     morphism enumeration.  Either way the result is re-validated
     against all four identities, and the derived involution property
-    (s.s.l = l, s.s.r = r) is confirmed.
+    (s.s.l = l, s.s.r = r) is confirmed.  When neither strategy applies,
+    the :class:`UnsupportedCapability` raised names both reasons.
     """
     try:
         s = cat.solve_coinverse(data)
-    except UnsupportedCapability:
+    except UnsupportedCapability as direct:
+        try:
+            candidates = cat.morphisms(data.q1, data.q1)
+        except UnsupportedCapability as enumeration:
+            raise UnsupportedCapability(f"{direct}; {enumeration}")
         s = None
-        for candidate in cat.morphisms(data.q1, data.q1):
+        for candidate in candidates:
             if coinverse_violation(cat, data, candidate) is None:
                 s = candidate
                 break
@@ -499,11 +472,6 @@ def coinverse_candidates(cat: CategoryCapabilities, data: CoCategoryData) -> tup
         if coinverse_violation(cat, data, candidate) is None:
             found.append(candidate)
     return found, searched
-
-
-def check_copreorder(cat: CategoryCapabilities, data: CoCategoryData) -> tuple[Optional[bool], Any]:
-    """Is (l, r) jointly epimorphic?  Returns (flag-or-None, witness)."""
-    return cat.joint_epi_status((data.l, data.r))
 
 
 def _and3(a: Optional[bool], b: Optional[bool]) -> Optional[bool]:
@@ -556,7 +524,7 @@ def classify(cat: CategoryCapabilities, data: CoCategoryData) -> Classification:
 
 
 def check_cocat_morphism(cat: CategoryCapabilities, src: CoCategoryData,
-                         dst: CoCategoryData, f0, f1) -> MorphismReport:
+                         dst: CoCategoryData, f0, f1) -> Report:
     """Check the four squares making (f0, f1) a morphism of co-categories.
 
     The q-square compares against the map induced between the double
@@ -581,4 +549,4 @@ def check_cocat_morphism(cat: CategoryCapabilities, src: CoCategoryData,
             checks.append(Check("q-square", False, f"induced map undefined: {exc}"))
     else:
         checks.append(Check("q-square", False, "skipped: l/r squares already fail"))
-    return MorphismReport(tuple(checks))
+    return Report(tuple(checks))

@@ -33,6 +33,12 @@ from .core import (
     UnsupportedCapability,
     double_and_triple,
 )
+from . import finset as fs
+
+# Largest test category (in morphisms) the joint-epi refutation searches.
+JOINT_EPI_BOUND = 4
+# Longest reduced word a pushout may create before closure is abandoned.
+WORD_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +246,14 @@ def _is_discrete(c: FinCategory) -> bool:
     return c.n_morphisms == c.n_objects
 
 
-def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = 8) -> PushoutWitness:
+def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = WORD_CAP) -> PushoutWitness:
     """Glue cod(f) and cod(g) along a discrete span.
 
-    Objects are merged by union-find; morphisms are reduced alternating
-    words in the two sides' non-identity morphisms.  Raises
-    :class:`ClosureExceeded` when a word would exceed ``word_cap``
-    (the closure is then infinite, e.g. a freshly created loop).
+    Objects are glued by the finite-set pushout of the object maps;
+    morphisms are reduced alternating words in the two sides'
+    non-identity morphisms.  Raises :class:`ClosureExceeded` when a
+    word would exceed ``word_cap`` (the closure is then infinite, e.g.
+    a freshly created loop).
     """
     if f.dom != g.dom:
         raise TypeMismatch("pushout: span legs must share a domain")
@@ -254,39 +261,19 @@ def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = 8) -> PushoutWi
         raise UnsupportedCapability("category pushouts are only supported over discrete spans")
     a, b = f.cod, g.cod
     cats = (a, b)
-    na = a.n_objects
-
-    parent = list(range(na + b.n_objects))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in range(f.dom.n_objects):
-        ra, rb = find(f.obj_map[s]), find(na + g.obj_map[s])
-        if ra != rb:
-            parent[rb] = ra
-    smallest: dict[int, int] = {}
-    for x in range(na + b.n_objects):
-        r = find(x)
-        if r not in smallest:
-            smallest[r] = x
-    order = sorted(smallest, key=smallest.get)
-    cls = {r: k for k, r in enumerate(order)}
-    n_objects = len(order)
-
-    def obj_class(side: int, x: int) -> int:
-        return cls[find(x if side == 0 else na + x)]
+    span = fs.FinSetObj(f.dom.n_objects)
+    objects = fs.pushout(fs.FinMap(span, fs.FinSetObj(a.n_objects), f.obj_map),
+                         fs.FinMap(span, fs.FinSetObj(b.n_objects), g.obj_map))
+    n_objects = objects.apex.size
+    obj_tables = tuple(inj.table for inj in objects.injections)
 
     def word_src(w) -> int:
         side, m = w[0]
-        return obj_class(side, cats[side].src[m])
+        return obj_tables[side][cats[side].src[m]]
 
     def word_tgt(w) -> int:
         side, m = w[-1]
-        return obj_class(side, cats[side].tgt[m])
+        return obj_tables[side][cats[side].tgt[m]]
 
     gens = [((side, m),) for side in (0, 1) for m in cats[side].non_identities()]
     words: set[tuple] = set(gens)
@@ -327,7 +314,7 @@ def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = 8) -> PushoutWi
                        tuple(tuple(row) for row in table))
 
     def injection(side: int, c: FinCategory) -> FunctorData:
-        obj_map = tuple(obj_class(side, x) for x in range(c.n_objects))
+        obj_map = obj_tables[side]
         mor_map = []
         for m in range(c.n_morphisms):
             if c.is_identity(m):
@@ -340,7 +327,7 @@ def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = 8) -> PushoutWi
         apex=apex,
         injections=(injection(0, a), injection(1, b)),
         legs=(f, g),
-        payload={"words": tuple(all_words), "sides": cats},
+        payload={"words": tuple(all_words), "objects": objects},
     )
 
 
@@ -356,20 +343,11 @@ def copair_cats(witness: PushoutWitness, u: FunctorData, v: FunctorData) -> Func
     apex: FinCategory = witness.apex
     x = u.cod
     words = witness.payload["words"]
-    na = u.dom.n_objects
-
-    # smallest member of each glued class determines the object image
-    reps: dict[int, int] = {}
-    for side, leg in ((0, i1), (1, i2)):
-        for ob in range(leg.dom.n_objects):
-            c = leg.obj_map[ob]
-            key = ob if side == 0 else na + ob
-            if c not in reps or key < reps[c]:
-                reps[c] = key
-    obj_map = []
-    for c in range(apex.n_objects):
-        k = reps[c]
-        obj_map.append(u.obj_map[k] if k < na else v.obj_map[k - na])
+    objects = witness.payload["objects"]
+    target = fs.FinSetObj(x.n_objects)
+    obj_map = fs.copair(objects,
+                        fs.FinMap(objects.injections[0].dom, target, u.obj_map),
+                        fs.FinMap(objects.injections[1].dom, target, v.obj_map)).table
 
     mor_map = []
     for m in range(apex.n_morphisms):
@@ -382,7 +360,7 @@ def copair_cats(witness: PushoutWitness, u: FunctorData, v: FunctorData) -> Func
         for nxt in imgs[1:]:
             acc = x.table[acc][nxt]
         mor_map.append(acc)
-    return FunctorData(apex, x, tuple(obj_map), tuple(mor_map))
+    return FunctorData(apex, x, obj_map, tuple(mor_map))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +369,6 @@ def copair_cats(witness: PushoutWitness, u: FunctorData, v: FunctorData) -> Func
 
 class Cat(CategoryCapabilities):
     name = "cat"
-
-    def __init__(self, joint_epi_bound: int = 4, word_cap: int = 16):
-        self.joint_epi_bound = joint_epi_bound
-        self.word_cap = word_cap
 
     def equal(self, f, g):
         return f == g
@@ -406,7 +380,7 @@ class Cat(CategoryCapabilities):
         return functor_identity(obj)
 
     def pushout(self, f, g):
-        return pushout_cats(f, g, word_cap=self.word_cap)
+        return pushout_cats(f, g)
 
     def copair(self, witness, u, v):
         return copair_cats(witness, u, v)
@@ -417,11 +391,11 @@ class Cat(CategoryCapabilities):
     def joint_epi_status(self, maps):
         """Disprove joint epimorphy by counterexample search, or report
         None (unknown): a decision procedure is out of reach here."""
-        found = joint_epi_counterexample_for_maps(list(maps), self.joint_epi_bound)
+        found = joint_epi_counterexample_for_maps(list(maps), JOINT_EPI_BOUND)
         if found is not None:
             c, pair = found
             return False, {"category": c, "functors": pair}
-        return None, {"searched_morphisms_up_to": self.joint_epi_bound}
+        return None, {"searched_morphisms_up_to": JOINT_EPI_BOUND}
 
 
 CAT = Cat()

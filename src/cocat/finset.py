@@ -173,6 +173,23 @@ def pushout(f: FinMap, g: FinMap) -> PushoutWitness:
     return PushoutWitness(apex=apex, injections=(inj1, inj2), legs=(f, g))
 
 
+def _fill_copair_table(apex: int, inj1: tuple, inj2: tuple,
+                       val1, val2) -> Optional[list[int]]:
+    """Table of the copairing, or None when the cocone condition fails."""
+    table: list[Optional[int]] = [None] * apex
+    for pos, val in zip(inj1, val1):
+        if table[pos] is None:
+            table[pos] = val
+        elif table[pos] != val:
+            return None
+    for pos, val in zip(inj2, val2):
+        if table[pos] is None:
+            table[pos] = val
+        elif table[pos] != val:
+            return None
+    return table  # type: ignore[return-value]
+
+
 def copair(witness: PushoutWitness, u: FinMap, v: FinMap) -> FinMap:
     """Factor the cocone (u, v) through the pushout apex."""
     i1, i2 = witness.injections
@@ -180,17 +197,12 @@ def copair(witness: PushoutWitness, u: FinMap, v: FinMap) -> FinMap:
         raise TypeMismatch("copair: cocone legs do not match the span")
     if u.cod != v.cod:
         raise TypeMismatch("copair: cocone legs must share a codomain")
-    table: list[Optional[int]] = [None] * witness.apex.size
-    for inj, leg in ((i1, u), (i2, v)):
-        for x in range(leg.dom.size):
-            pos, val = inj.table[x], leg.table[x]
-            if table[pos] is None:
-                table[pos] = val
-            elif table[pos] != val:
-                raise CoconeMismatch(f"legs disagree at apex element {pos}")
-    if any(t is None for t in table):
+    table = _fill_copair_table(witness.apex.size, i1.table, i2.table, u.table, v.table)
+    if table is None:
+        raise CoconeMismatch("legs disagree on a glued apex element")
+    if None in table:
         raise IllFormedPushout("injections do not cover the apex")
-    return FinMap(witness.apex, u.cod, tuple(table))  # type: ignore[arg-type]
+    return FinMap(witness.apex, u.cod, tuple(table))
 
 
 def pullback(f: FinMap, g: FinMap) -> tuple[FinSetObj, FinMap, FinMap]:
@@ -215,7 +227,8 @@ def union(s1: Subobject, s2: Subobject) -> Subobject:
     return Subobject(s1.cod, tuple(sorted(set(s1.elements) | set(s2.elements))))
 
 
-def is_jointly_covering(maps) -> bool:
+def uncovered(maps) -> list[int]:
+    """The elements of the common codomain that no map hits, in order."""
     maps = list(maps)
     if not maps:
         raise TypeMismatch("need at least one map")
@@ -225,7 +238,11 @@ def is_jointly_covering(maps) -> bool:
     hit = set()
     for m in maps:
         hit.update(m.table)
-    return len(hit) == cod.size
+    return [x for x in range(cod.size) if x not in hit]
+
+
+def is_jointly_covering(maps) -> bool:
+    return not uncovered(maps)
 
 
 def equalizer(f: FinMap, g: FinMap) -> FinMap:
@@ -258,26 +275,9 @@ class FinSet(CategoryCapabilities):
     def copair(self, witness, u, v):
         return copair(witness, u, v)
 
-    def pullback(self, f, g):
-        return pullback(f, g)
-
-    def equalizer(self, f, g):
-        return equalizer(f, g)
-
-    def image(self, f):
-        return image(f)
-
-    def union(self, s1, s2):
-        return union(s1, s2)
-
     def joint_epi_status(self, maps):
         # in finite sets jointly epi == jointly covering
-        maps = list(maps)
-        cod = maps[0].cod
-        hit = set()
-        for m in maps:
-            hit.update(m.table)
-        missing = [x for x in range(cod.size) if x not in hit]
+        missing = uncovered(maps)
         if missing:
             return False, {"uncovered": missing[0]}
         return True, None
@@ -285,12 +285,6 @@ class FinSet(CategoryCapabilities):
     def morphisms(self, x, y):
         for table in itertools.product(range(y.size), repeat=x.size):
             yield FinMap(x, y, table)
-
-    def is_mono(self, f):
-        return is_mono(f)
-
-    def is_epi(self, f):
-        return is_epi(f)
 
     def is_pushout(self, witness):
         f, g = witness.legs
@@ -385,11 +379,9 @@ def verify_proposition(data: CoCategoryData) -> ProofReport:
     # into the q side.
     P1, m1, q1 = pullback(data.q, nu1)
     P2, m2, q2 = pullback(data.q, nu2)
-    cover = union(image(m1), image(m2)).elements == tuple(range(data.q1.size))
-    if not cover:
-        missing = sorted(set(range(data.q1.size))
-                         - set(m1.table) - set(m2.table))
-        notes.append(f"element {missing[0]} of Q1 lies in neither preimage")
+    nu_missing = uncovered([m1, m2])
+    if nu_missing:
+        notes.append(f"element {nu_missing[0]} of Q1 lies in neither preimage")
 
     li = compose(data.i, data.l)
     ri = compose(data.i, data.r)
@@ -404,10 +396,9 @@ def verify_proposition(data: CoCategoryData) -> ProofReport:
                    if ri.table[q2.table[p]] != m2.table[p])
         notes.append(f"r.i.q_2 != m_2 at P2 element {bad}")
 
-    lr_cover = is_jointly_covering([data.l, data.r])
-    if not lr_cover:
-        missing = sorted(set(range(data.q1.size)) - set(data.l.table) - set(data.r.table))
-        notes.append(f"element {missing[0]} of Q1 not hit by l or r")
+    lr_missing = uncovered([data.l, data.r])
+    if lr_missing:
+        notes.append(f"element {lr_missing[0]} of Q1 not hit by l or r")
 
     K, p1, p2 = pullback(data.l, data.r)
     proj_eq = p1 == p2
@@ -439,10 +430,10 @@ def verify_proposition(data: CoCategoryData) -> ProofReport:
     return ProofReport(
         pullback1=(P1, q1, m1),
         pullback2=(P2, q2, m2),
-        nu_preimages_cover=cover,
+        nu_preimages_cover=not nu_missing,
         left_retraction=left_retr,
         right_retraction=right_retr,
-        lr_jointly_cover=lr_cover,
+        lr_jointly_cover=not lr_missing,
         lr_pullback=(K, p1, p2),
         projections_equal=proj_eq,
         square_is_pushout=square_pushout,
@@ -461,23 +452,6 @@ def _vacuous_cocategory() -> CoCategoryData:
     empty = FinMap(zero, zero, ())
     double, triple = double_and_triple(FINSET, empty, empty)
     return CoCategoryData(zero, zero, empty, empty, empty, empty, double, triple)
-
-
-def _fill_copair_table(apex: int, inj1: tuple, inj2: tuple,
-                       val1, val2) -> Optional[list[int]]:
-    """Table of the copairing, or None when the cocone condition fails."""
-    table: list[Optional[int]] = [None] * apex
-    for pos, val in zip(inj1, val1):
-        if table[pos] is None:
-            table[pos] = val
-        elif table[pos] != val:
-            return None
-    for pos, val in zip(inj2, val2):
-        if table[pos] is None:
-            table[pos] = val
-        elif table[pos] != val:
-            return None
-    return table  # type: ignore[return-value]
 
 
 def enumerate_cocategories(max_q0: int, max_q1: int,

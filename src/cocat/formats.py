@@ -221,15 +221,11 @@ def _finmap(doc: _Doc, name: str, dom: fs.FinSetObj, cod: fs.FinSetObj) -> fs.Fi
     return fs.FinMap(dom, cod, tuple(table))
 
 
-def parse_finset(doc: _Doc) -> CoCategoryData:
-    q0 = fs.FinSetObj(doc.int("q0"))
-    q1 = fs.FinSetObj(doc.int("q1"))
-    l = _finmap(doc, "l", q0, q1)
-    r = _finmap(doc, "r", q0, q1)
-    i = _finmap(doc, "i", q1, q0)
-    double, triple = double_and_triple(fs.FINSET, l, r)
-    q = _finmap(doc, "q", q1, double.apex)
-    return CoCategoryData(q0, q1, l, r, i, q, double, triple)
+def _finset(doc: _Doc, name: str) -> fs.FinSetObj:
+    size = doc.int(name)
+    if size < 0:
+        raise ParseError(f"field '{name}': size must be non-negative")
+    return fs.FinSetObj(size)
 
 
 def write_finset(data: CoCategoryData) -> str:
@@ -271,17 +267,6 @@ def _group(doc: _Doc, name: str) -> ab.FgAbGroup:
             raise ParseError(f"field '{rel_name}': needs {rank} rows")
         return ab.FgAbGroup(rank, rel)
     return ab.FgAbGroup(rank)
-
-
-def parse_abgp(doc: _Doc) -> CoCategoryData:
-    q0 = _group(doc, "q0")
-    q1 = _group(doc, "q1")
-    l = _abmap(doc, "l", q0, q1)
-    r = _abmap(doc, "r", q0, q1)
-    i = _abmap(doc, "i", q1, q0)
-    double, triple = double_and_triple(ab.ABGP, l, r)
-    q = _abmap(doc, "q", q1, double.apex)
-    return CoCategoryData(q0, q1, l, r, i, q, double, triple)
 
 
 def write_abgp(data: CoCategoryData) -> str:
@@ -332,19 +317,6 @@ def _chainmap(doc: _Doc, name: str, dom: ch.ChainComplex, cod: ch.ChainComplex) 
         raise ParseError(f"field '{name}-*': {exc}")
 
 
-def parse_chain(doc: _Doc) -> CoCategoryData:
-    q0 = _complex(doc, "q0")
-    q1 = _complex(doc, "q1")
-    if q0.max_degree != q1.max_degree:
-        raise ParseError("fields 'q0-ranks'/'q1-ranks': must cover the same degrees")
-    l = _chainmap(doc, "l", q0, q1)
-    r = _chainmap(doc, "r", q0, q1)
-    i = _chainmap(doc, "i", q1, q0)
-    double, triple = double_and_triple(ch.CH, l, r)
-    q = _chainmap(doc, "q", q1, double.apex)
-    return CoCategoryData(q0, q1, l, r, i, q, double, triple)
-
-
 def write_chain(data: CoCategoryData) -> str:
     lines = ["category: chain"]
     for name, x in (("q0", data.q0), ("q1", data.q1)):
@@ -370,6 +342,8 @@ def _category(doc: _Doc, name: str) -> fc.FinCategory:
     tgt = tuple(row[1] for row in mor_rows)
     identities = tuple(doc.ints(f"{name}-identities", length=n_obj))
     m = len(src)
+    if any(not 0 <= e < m for e in identities):
+        raise ParseError(f"field '{name}-identities': morphism index out of range")
     table: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
     if doc.has(f"{name}-compose"):
         for f, g, h in doc.rows(f"{name}-compose", 3):
@@ -402,17 +376,6 @@ def _functor(doc: _Doc, name: str, dom: fc.FinCategory, cod: fc.FinCategory) -> 
         raise ParseError(f"field '{name}-*': {exc}")
 
 
-def parse_cat(doc: _Doc) -> CoCategoryData:
-    q0 = _category(doc, "q0")
-    q1 = _category(doc, "q1")
-    l = _functor(doc, "l", q0, q1)
-    r = _functor(doc, "r", q0, q1)
-    i = _functor(doc, "i", q1, q0)
-    double, triple = double_and_triple(fc.CAT, l, r)
-    q = _functor(doc, "q", q1, double.apex)
-    return CoCategoryData(q0, q1, l, r, i, q, double, triple)
-
-
 def _category_block(name: str, c: fc.FinCategory) -> list[str]:
     lines = [f"{name}-objects: {c.n_objects}", f"{name}-morphisms:"]
     lines.extend(f"{c.src[f]} {c.tgt[f]}" for f in range(c.n_morphisms))
@@ -441,11 +404,12 @@ def write_cat(data: CoCategoryData) -> str:
 # Dispatch
 
 
-_PARSERS = {
-    "finset": parse_finset,
-    "abgp": parse_abgp,
-    "chain": parse_chain,
-    "cat": parse_cat,
+# host engine, object reader, map reader
+_READERS = {
+    "finset": (fs.FINSET, _finset, _finmap),
+    "abgp": (ab.ABGP, _group, _abmap),
+    "chain": (ch.CH, _complex, _chainmap),
+    "cat": (fc.CAT, _category, _functor),
 }
 
 _WRITERS = {
@@ -456,17 +420,32 @@ _WRITERS = {
 }
 
 
+def _parse(doc: _Doc, category: str) -> CoCategoryData:
+    host, read_object, read_map = _READERS[category]
+    q0 = read_object(doc, "q0")
+    q1 = read_object(doc, "q1")
+    l = read_map(doc, "l", q0, q1)
+    r = read_map(doc, "r", q0, q1)
+    i = read_map(doc, "i", q1, q0)
+    try:
+        double, triple = double_and_triple(host, l, r)
+    except CocatError as exc:
+        raise ParseError(f"fields 'l'/'r': cannot recompute the pushout: {exc}")
+    q = read_map(doc, "q", q1, double.apex)
+    return CoCategoryData(q0, q1, l, r, i, q, double, triple)
+
+
 def parse_document(text: str, expected_category: Optional[str] = None
                    ) -> tuple[str, CoCategoryData]:
     doc = _Doc(text)
     category = doc.word("category")
-    if category not in _PARSERS:
+    if category not in _READERS:
         raise ParseError(f"field 'category': unknown host '{category}', "
                          f"expected one of {', '.join(CATEGORIES)}")
     if expected_category is not None and category != expected_category:
         raise ParseError(f"field 'category': document says '{category}', "
                          f"command asked for '{expected_category}'")
-    return category, _PARSERS[category](doc)
+    return category, _parse(doc, category)
 
 
 def write_document(category: str, data: CoCategoryData) -> str:

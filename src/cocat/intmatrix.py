@@ -18,7 +18,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -138,19 +138,6 @@ def vstack(*ms: IntMatrix) -> IntMatrix:
         raise ValueError("column count mismatch")
     return IntMatrix(sum(m.rows for m in ms), cols,
                      tuple(r for m in ms for r in m.data))
-
-
-def block_diag(*ms: IntMatrix) -> IntMatrix:
-    rows = sum(m.rows for m in ms)
-    cols = sum(m.cols for m in ms)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in ms:
-        for i in range(m.rows):
-            out[r0 + i][c0:c0 + m.cols] = list(m.data[i])
-        r0 += m.rows
-        c0 += m.cols
-    return IntMatrix.from_rows(out, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +417,40 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
             return None
         cols.append(x)
     return IntMatrix.from_cols(cols, rows=m.cols)
+
+
+def solve_affine(residual: Callable[[list[IntMatrix]], list[int]],
+                 sizes: Sequence[int]) -> Optional[list[IntMatrix]]:
+    """Integer square matrices ``X_k`` (``sizes[k]`` by ``sizes[k]``)
+    with ``residual([X_0, X_1, ...])`` all zero, or None when there are
+    none.
+
+    ``residual`` must be affine in the matrix entries; its linear part
+    is read off by perturbing the zero matrices one unit entry at a
+    time, and the resulting system is handed to :func:`solve`.
+    """
+    zero = [IntMatrix.zeros(n, n) for n in sizes]
+    base = residual(zero)
+    columns = []
+    for k, n in enumerate(sizes):
+        for p in range(n):
+            for c in range(n):
+                unit = list(zero)
+                unit[k] = IntMatrix.from_rows(
+                    [[1 if (i, j) == (p, c) else 0 for j in range(n)] for i in range(n)],
+                    cols=n)
+                columns.append([x - y for x, y in zip(residual(unit), base)])
+    system = IntMatrix.from_cols(columns, rows=len(base))
+    sol = solve(system, [-x for x in base])
+    if sol is None:
+        return None
+    mats = []
+    pos = 0
+    for n in sizes:
+        mats.append(IntMatrix.from_rows(
+            [list(sol[pos + p * n:pos + (p + 1) * n]) for p in range(n)], cols=n))
+        pos += n * n
+    return mats
 
 
 # ---------------------------------------------------------------------------

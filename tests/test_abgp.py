@@ -12,6 +12,7 @@ from cocat.core import (
     check_cocat_morphism,
     check_cocategory,
     classify,
+    cokernel_pair,
     find_coinverse,
 )
 from cocat.abgp import (
@@ -233,6 +234,14 @@ class TestGroupExample:
         assert cls.is_copreorder is False
         assert cls.is_cogroupoid is True
         assert cls.is_coequivalence is False
+
+    def test_torsion_cogroupoid_reason_names_the_solver(self):
+        # the cokernel pair of 2: Z -> Z has Z/2 torsion in Q1, so the
+        # direct solver gives up; its reason must survive the fallback
+        z = free_group(1)
+        cls = classify(ABGP, cokernel_pair(ABGP, AbMap(z, z, _m([[2]]))))
+        assert cls.is_cogroupoid is None
+        assert "co-inverse solving needs free groups" in cls.witnesses["cogroupoid"]
 
     def test_identity_is_a_morphism(self):
         data = group_example_cocategory()

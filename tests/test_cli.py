@@ -123,6 +123,20 @@ class TestClassify:
         assert result.exit_code == 1
         assert "failed" in result.output
 
+    def test_unsupported_pushout_is_parse_error(self, runner, tmp_path):
+        # l, r leave the (non-discrete) arrow category, along which this
+        # host has no pushouts, so the document cannot be read
+        arrow = "objects: 2\n{0}-morphisms:\n0 0\n1 1\n0 1\n{0}-identities: 0 1\n"
+        text = ("category: cat\n"
+                "q0-" + arrow.format("q0") + "q1-" + arrow.format("q1")
+                + "".join(f"{f}-obj: 0 1\n{f}-mor: 0 1 2\n" for f in "lriq"))
+        path = tmp_path / "nondiscrete.txt"
+        path.write_text(text)
+        result = runner.invoke(main, ["classify", "--category", "cat",
+                                      "--file", str(path)])
+        assert result.exit_code == 2
+        assert "ParseError" in result.output
+
     def test_wrong_category_flag(self, runner, tmp_path):
         text = formats.write_document("abgp", abgp.group_example_cocategory())
         path = tmp_path / "example.txt"

@@ -107,6 +107,18 @@ class TestDiagnostics:
         with pytest.raises(ParseError, match="'l'"):
             parse_document(text)
 
+    @pytest.mark.parametrize("text, field", [
+        # identity index past the morphism list
+        ("category: cat\nq0-objects: 1\nq0-morphisms:\n0 0\nq0-identities: 2\n",
+         "q0-identities"),
+        ("category: finset\nq0: -1\nq1: 1\nl:\nr:\ni: 0\nq: 0\n", "q0"),
+        # complexes over different degrees cannot carry a chain map
+        ("category: chain\nq0-ranks: 1\nq1-ranks: 1 0\n", "l-\\*"),
+    ], ids=["cat-identity-index", "finset-negative-size", "chain-degree-mismatch"])
+    def test_malformed_is_parse_error(self, text, field):
+        with pytest.raises(ParseError, match=f"'{field}'"):
+            parse_document(text)
+
     def test_invalid_category_laws(self):
         text = ("category: cat\n"
                 "q0-objects: 1\nq0-morphisms:\n0 0\nq0-identities: 0\n"
