@@ -318,10 +318,6 @@ class AbGp(CategoryCapabilities):
             return None
         return AbMap(data.q1, data.q1, sol[0])
 
-    def injections_cover(self, witness: PushoutWitness):
-        status, _ = self.joint_epi_status(witness.injections)
-        return status
-
 
 ABGP = AbGp()
 

@@ -239,10 +239,6 @@ class Ch(CategoryCapabilities):
             return None
         return ChainMap(q1, q1, tuple(mats))
 
-    def injections_cover(self, witness: PushoutWitness):
-        status, _ = self.joint_epi_status(witness.injections)
-        return status
-
 
 CH = Ch()
 

@@ -203,8 +203,8 @@ class CategoryCapabilities:
 
     Required: ``equal``, ``compose``, ``identity``, ``pushout`` and
     ``copair``.  Everything else is optional; the defaults raise
-    :class:`UnsupportedCapability` (or return ``None`` for the purely
-    advisory tests), and generic code degrades accordingly.
+    :class:`UnsupportedCapability` (``is_pushout`` returns ``None``,
+    "untestable"), and generic code degrades accordingly.
     """
 
     name = "abstract"
@@ -249,10 +249,6 @@ class CategoryCapabilities:
 
     def is_pushout(self, witness: PushoutWitness) -> Optional[bool]:
         """Whether the witness really is a pushout; None = untestable."""
-        return None
-
-    def injections_cover(self, witness: PushoutWitness) -> Optional[bool]:
-        """Whether the injections jointly cover the apex; None = untestable."""
         return None
 
 
@@ -346,7 +342,10 @@ def _validate_witnesses(cat: CategoryCapabilities, data: CoCategoryData) -> None
     if verdict is False:
         raise IllFormedPushout("double witness is not a pushout of (r, l)")
     for label, witness in (("double", data.double), ("triple", data.triple)):
-        covered = cat.injections_cover(witness)
+        try:
+            covered, _ = cat.joint_epi_status(witness.injections)
+        except UnsupportedCapability:
+            continue
         if covered is False:
             raise IllFormedPushout(f"{label} witness: injections do not cover the apex")
 

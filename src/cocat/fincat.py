@@ -10,7 +10,9 @@ non-identity morphisms (adjacent same-side factors composed away), and
 word closure is capped, so gluing that creates free loops raises
 :class:`ClosureExceeded` instead of diverging.
 
-Joint epimorphy is never decided here, only disproved: the searcher
+Joint epimorphy is proved when the images of the family generate the
+codomain under composition (functors agreeing on generators agree
+everywhere).  Otherwise it can only be disproved: the searcher
 enumerates small composition tables and looks for a pair of distinct
 functors agreeing after precomposition, which is a sound refutation.
 """
@@ -389,9 +391,13 @@ class Cat(CategoryCapabilities):
         return enumerate_functors(x, y)
 
     def joint_epi_status(self, maps):
-        """Disprove joint epimorphy by counterexample search, or report
+        """True when the images generate the codomain; otherwise
+        disprove joint epimorphy by counterexample search, or report
         None (unknown): a decision procedure is out of reach here."""
-        found = joint_epi_counterexample_for_maps(list(maps), JOINT_EPI_BOUND)
+        maps = list(maps)
+        if _images_generate(maps):
+            return True, None
+        found = joint_epi_counterexample_for_maps(maps, JOINT_EPI_BOUND)
         if found is not None:
             c, pair = found
             return False, {"category": c, "functors": pair}
@@ -495,22 +501,41 @@ def _complete_tables(n_obj: int, src: tuple[int, ...], tgt: tuple[int, ...]
         yield from rec(0)
 
 
-def joint_epi_counterexample_for_maps(maps, max_test_size: int
-                                      ) -> Optional[tuple[FinCategory, tuple[FunctorData, FunctorData]]]:
-    """Search test categories for a pair F != G out of the common
-    codomain agreeing after precomposition with every map."""
+def _common_codomain(maps) -> FinCategory:
     if not maps:
         raise TypeMismatch("need at least one map")
     cod = maps[0].cod
     if any(m.cod != cod for m in maps):
         raise TypeMismatch("joint-epi search needs a common codomain")
+    return cod
+
+
+def _images_generate(maps) -> bool:
+    """Is every morphism of the common codomain a composite of morphisms
+    in the images of the maps?"""
+    cod = _common_codomain(maps)
+    reached = {f for m in maps for f in m.mor_map}
+    frontier = list(reached)
+    while frontier:
+        f = frontier.pop()
+        for g in list(reached):
+            for h in (cod.table[f][g], cod.table[g][f]):
+                if h is not None and h not in reached:
+                    reached.add(h)
+                    frontier.append(h)
+    return len(reached) == cod.n_morphisms
+
+
+def joint_epi_counterexample_for_maps(maps, max_test_size: int
+                                      ) -> Optional[tuple[FinCategory, tuple[FunctorData, FunctorData]]]:
+    """Search test categories for a pair F != G out of the common
+    codomain agreeing after precomposition with every map."""
+    cod = _common_codomain(maps)
     for c in _enumerate_categories(max_test_size):
         seen: dict[tuple, FunctorData] = {}
         for cand in enumerate_functors(cod, c):
-            sig = tuple(
-                (functor_compose(m, cand).obj_map, functor_compose(m, cand).mor_map)
-                for m in maps
-            )
+            composites = [functor_compose(m, cand) for m in maps]
+            sig = tuple((f.obj_map, f.mor_map) for f in composites)
             if sig in seen:
                 return c, (seen[sig], cand)
             seen[sig] = cand

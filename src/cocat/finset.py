@@ -110,10 +110,6 @@ def is_mono(f: FinMap) -> bool:
     return len(set(f.table)) == len(f.table)
 
 
-def is_epi(f: FinMap) -> bool:
-    return len(set(f.table)) == f.cod.size
-
-
 def is_bijective(f: FinMap) -> bool:
     return f.dom.size == f.cod.size and is_mono(f)
 
@@ -297,9 +293,6 @@ class FinSet(CategoryCapabilities):
         except (CoconeMismatch, IllFormedPushout):
             return False
         return is_bijective(comparison)
-
-    def injections_cover(self, witness):
-        return is_jointly_covering(witness.injections)
 
 
 FINSET = FinSet()

@@ -13,6 +13,11 @@ Conventions:
   hence membership tests) are therefore triangular solves.
 * ``snf`` returns ``(D, U, V)`` with ``D = U @ M @ V`` diagonal,
   non-negative, each entry dividing the next.
+
+Integer systems ``M @ x = b`` are solved only against the Hermite
+form (:class:`Lattice`); the Smith form serves the callers that need
+its diagonal or its transforms: :func:`cokernel`,
+:func:`invariant_factors` and the truncation of chain complexes.
 """
 
 from __future__ import annotations
@@ -60,14 +65,8 @@ class IntMatrix:
 
     # -- views ----------------------------------------------------------
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.data)
-
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
 
     def select_cols(self, idx: Iterable[int]) -> "IntMatrix":
         idx = list(idx)
@@ -109,10 +108,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
                          tuple(tuple(-x for x in r) for r in self.data))
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(c * x for x in r) for r in self.data))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -240,37 +235,40 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 
 
 def lattice_contains(m: IntMatrix, vec: Sequence[int]) -> bool:
-    """Is the vector in the column lattice of m?  Triangular solve
-    against the Hermite form."""
-    h, _, pivots = _hnf(m)
-    return _hnf_contains(h, pivots, vec)
-
-
-def _hnf_contains(h: IntMatrix, pivots, vec: Sequence[int]) -> bool:
-    if len(vec) != h.rows:
-        raise ValueError("vector length mismatch")
-    v = list(vec)
-    for prow, pcol in pivots:
-        p = h.data[prow][pcol]
-        if v[prow] % p != 0:
-            return False
-        c = v[prow] // p
-        if c:
-            for i in range(prow, h.rows):
-                v[i] -= c * h.data[i][pcol]
-    return all(x == 0 for x in v)
+    """Is the vector in the column lattice of m?"""
+    return vec in Lattice(m)
 
 
 class Lattice:
-    """A column lattice with its Hermite form cached for fast
-    membership queries."""
+    """A column lattice with its Hermite form cached: every membership
+    query and integer solve is one triangular solve."""
 
     def __init__(self, m: IntMatrix):
-        self.matrix = m
         self._h, self._u, self._pivots = _hnf(m)
 
+    def solve(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """An integer x with ``m @ x = vec``, or None when the vector is
+        not in the lattice."""
+        h = self._h
+        if len(vec) != h.rows:
+            raise ValueError("vector length mismatch")
+        v = list(vec)
+        y = [0] * h.cols
+        for prow, pcol in self._pivots:
+            p = h.data[prow][pcol]
+            if v[prow] % p != 0:
+                return None
+            c = y[pcol] = v[prow] // p
+            if c:
+                for i in range(prow, h.rows):
+                    v[i] -= c * h.data[i][pcol]
+        if any(v):
+            return None
+        # m @ U = H, so x = U @ y
+        return self._u.apply(y)
+
     def __contains__(self, vec: Sequence[int]) -> bool:
-        return _hnf_contains(self._h, self._pivots, vec)
+        return self.solve(vec) is not None
 
     def contains_all_columns(self, m: IntMatrix) -> bool:
         return all(m.col(j) in self for j in range(m.cols))
@@ -388,34 +386,16 @@ def cokernel(m: IntMatrix) -> tuple[int, ...]:
 
 def solve(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """An integer solution x of ``m @ x = b``, or None when there is
-    none (the Smith form certifies unsolvability)."""
-    if len(b) != m.rows:
-        raise ValueError("vector length mismatch")
-    d, u, v = snf(m)
-    c = u.apply(b)
-    y = [0] * m.cols
-    diag = diagonal(d)
-    for k in range(min(m.rows, m.cols)):
-        if diag[k] != 0:
-            if c[k] % diag[k] != 0:
-                return None
-            y[k] = c[k] // diag[k]
-        elif c[k] != 0:
-            return None
-    for k in range(min(m.rows, m.cols), m.rows):
-        if c[k] != 0:
-            return None
-    return v.apply(y)
+    none."""
+    return Lattice(m).solve(b)
 
 
 def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Columnwise integer solution X of ``m @ X = b``."""
-    cols = []
-    for j in range(b.cols):
-        x = solve(m, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
+    """Columnwise integer solution X of ``m @ X = b``, factoring m once."""
+    lattice = Lattice(m)
+    cols = [lattice.solve(b.col(j)) for j in range(b.cols)]
+    if None in cols:
+        return None
     return IntMatrix.from_cols(cols, rows=m.cols)
 
 

@@ -6,8 +6,11 @@ import random
 import pytest
 
 from cocat.core import (
+    CoCategoryData,
     CoconeMismatch,
+    IllFormedPushout,
     NotFree,
+    PushoutWitness,
     TypeMismatch,
     check_cocat_morphism,
     check_cocategory,
@@ -212,6 +215,21 @@ class TestGroupExample:
         stacked = hstack(data.l.matrix, data.r.matrix)
         assert not lattice_contains(stacked, (0, 1, 0))
         assert lattice_contains(stacked, (1, 0, 0))
+
+    def test_uncovered_double_apex_rejected(self):
+        d = group_example_cocategory()
+        # the double's injections and q land in an apex with one extra
+        # free generator that nothing hits
+        bigger = free_group(d.double.apex.rank + 1)
+
+        def widen(f):
+            return AbMap(f.dom, bigger, vstack(f.matrix, IntMatrix.zeros(1, f.matrix.cols)))
+
+        fake = PushoutWitness(apex=bigger, injections=tuple(map(widen, d.double.injections)),
+                              legs=d.double.legs, payload=d.double.payload)
+        with pytest.raises(IllFormedPushout, match="double witness: injections do not cover"):
+            check_cocategory(ABGP, CoCategoryData(
+                d.q0, d.q1, d.l, d.r, d.i, widen(d.q), fake, d.triple))
 
     def test_coinverse_solved_and_unique(self):
         data = group_example_cocategory()

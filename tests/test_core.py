@@ -103,6 +103,16 @@ class TestAxioms:
             check_cocategory(FINSET, CoCategoryData(
                 d.q0, d.q1, d.l, d.r, d.i, q, fake, d.triple))
 
+    def test_uncovered_triple_apex_rejected(self, pair_example):
+        d = pair_example
+        # the triple's injections land in an apex with one extra element
+        bigger = FinSetObj(d.triple.apex.size + 1)
+        widened = tuple(FinMap(d.q1, bigger, t.table) for t in d.triple.injections)
+        fake = PushoutWitness(apex=bigger, injections=widened, legs=d.triple.legs)
+        with pytest.raises(IllFormedPushout, match="triple witness: injections do not cover"):
+            check_cocategory(FINSET, CoCategoryData(
+                d.q0, d.q1, d.l, d.r, d.i, d.q, d.double, fake))
+
 
 class TestClassify:
     def test_flags_all_true(self, pair_example):

@@ -189,7 +189,23 @@ class TestJointEpiSearch:
     def test_trivial_unknown_at_small_bound(self):
         data = cokernel_pair(CAT, functor_identity(terminal_category()))
         assert joint_epi_counterexample(data, 3) is None
+        # l = r = identity: the images generate Q1, so this is decided
         status, info = CAT.joint_epi_status((data.l, data.r))
+        assert status is True
+        assert info is None
+
+    def test_epi_not_generated_unknown(self):
+        # the arrow category into the walking isomorphism is epi (the
+        # inverse is forced), but its image does not generate the inverse
+        iso = FinCategory(2, (0, 1, 0, 1), (0, 1, 1, 0), (0, 1), (
+            (0, None, 2, None),
+            (None, 1, None, 3),
+            (None, 2, None, 0),
+            (3, None, 1, None),
+        ))
+        assert validate(iso)
+        inclusion = FunctorData(arrow_category(), iso, (0, 1), (0, 1, 2))
+        status, info = CAT.joint_epi_status((inclusion,))
         assert status is None
         assert "searched_morphisms_up_to" in info
 

@@ -155,6 +155,20 @@ class TestSolve:
         sol = solve(m, b)
         assert (sol is not None) == lattice_contains(m, b)
 
+    @given(matrices, st.lists(st.integers(-5, 5), min_size=0, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_none_certified_by_smith_form(self, m, b):
+        # D = U m V, so m x = b is solvable iff D y = U b is: each entry
+        # of U b divisible by its nonzero d_k, zero where there is none
+        b = tuple((b + [0] * m.rows)[: m.rows])
+        d, u, _ = snf(m)
+        diag = diagonal(d)
+        c = u.apply(b)
+        solvable = all(
+            c[k] % diag[k] == 0 if k < len(diag) and diag[k] != 0 else c[k] == 0
+            for k in range(m.rows))
+        assert (solve(m, b) is not None) == solvable
+
 
 class TestKernel:
     @given(matrices)
