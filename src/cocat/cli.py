@@ -31,7 +31,7 @@ from .core import classify as classify_data
 from .core import check_cocategory, coinverse_candidates
 
 MAX_Q0 = 3
-MAX_Q1 = 5
+MAX_Q1 = 6
 
 HOSTS = {
     "finset": finset.FINSET,

@@ -215,8 +215,10 @@ def enumerate_functors(dom: FinCategory, cod: FinCategory) -> list[FunctorData]:
                 mor_map[dom.identities[x]] = cod.identities[obj_map[x]]
             for f, m in zip(non_ids, choice):
                 mor_map[f] = m
-            if _is_functorial(dom, cod, obj_map, tuple(mor_map)):
+            try:
                 out.append(FunctorData(dom, cod, obj_map, tuple(mor_map)))
+            except TypeMismatch:
+                continue
     return out
 
 
@@ -466,20 +468,24 @@ def _complete_tables(n_obj: int, src: tuple[int, ...], tgt: tuple[int, ...]
         for f, g in free_pairs
     }
 
-    def assoc_ok() -> bool:
-        for f in range(m):
-            for g in range(m):
-                if tgt[f] != src[g] or table[f][g] is None:
-                    continue
-                fg = table[f][g]
-                for h in range(m):
-                    if tgt[g] != src[h]:
-                        continue
-                    gh = table[g][h]
-                    if gh is None or table[fg][h] is None or table[f][gh] is None:
-                        continue
-                    if table[fg][h] != table[f][gh]:
-                        return False
+    def assoc_ok(f: int, g: int) -> bool:
+        """Associativity on the triples (a, b, c) one of whose four
+        lookups ab, bc, (ab)c, a(bc) is the new entry (f, g); every other
+        triple was already consistent before it was written."""
+        triples = [(f, g, c) for c in range(m)] + [(a, f, g) for a in range(m)]
+        for x in range(m):
+            for y in range(m):
+                if table[x][y] == f:
+                    triples.append((x, y, g))
+                if table[x][y] == g:
+                    triples.append((f, x, y))
+        for a, b, c in triples:
+            ab, bc = table[a][b], table[b][c]
+            if ab is None or bc is None:
+                continue
+            left, right = table[ab][c], table[a][bc]
+            if left is not None and right is not None and left != right:
+                return False
         return True
 
     def rec(idx: int) -> Iterator[FinCategory]:
@@ -490,7 +496,7 @@ def _complete_tables(n_obj: int, src: tuple[int, ...], tgt: tuple[int, ...]
         f, g = free_pairs[idx]
         for h in candidates[(f, g)]:
             table[f][g] = h
-            if assoc_ok():
+            if assoc_ok(f, g):
                 yield from rec(idx + 1)
             table[f][g] = None
 

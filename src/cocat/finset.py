@@ -282,6 +282,30 @@ class FinSet(CategoryCapabilities):
         for table in itertools.product(range(y.size), repeat=x.size):
             yield FinMap(x, y, table)
 
+    def solve_coinverse(self, data):
+        """The first co-inverse in the order of ``morphisms``, or None
+        when provably none exists.
+
+        s.l = r and s.r = l pin s on the images of l and r (a conflict
+        rules every candidate out); only the elements neither image
+        hits are searched, each over every value of Q1.
+        """
+        q1 = data.q1
+        if data.l.cod != q1 or data.r.cod != q1:
+            raise TypeMismatch("co-inverse: l and r must land in Q1")
+        l, r = data.l.table, data.r.table
+        table = _fill_copair_table(q1.size, l, r, r, l)
+        if table is None:
+            return None
+        free = [z for z in range(q1.size) if table[z] is None]
+        for values in itertools.product(range(q1.size), repeat=len(free)):
+            for z, v in zip(free, values):
+                table[z] = v
+            s = FinMap(q1, q1, tuple(table))
+            if coinverse_violation(self, data, s) is None:
+                return s
+        return None
+
     def is_pushout(self, witness):
         f, g = witness.legs
         i1, i2 = witness.injections
@@ -453,9 +477,14 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
     """Yield every co-category with |Q0| <= max_q0 and |Q1| <= max_q1.
 
     Candidates are pruned by fixing (l, r, i) with i.l = i.r = id
-    first; the remaining axioms pin q on the image of l and r, so only
-    the leftover entries of q are enumerated.  Structures are counted
-    on the nose, not up to isomorphism.
+    first.  The compatibility axioms pin q on the images of l and r,
+    and both counit axioms hold pointwise (q(z) must fold back to z
+    through [l.i, 1] and [1, r.i]), so each leftover entry of q ranges
+    only over the apex elements that fold to z on both sides; only
+    co-associativity is tested per candidate.  This prunes nothing that
+    could pass, so the same structures come out in the same order as an
+    unpruned search.  Structures are counted on the nose, not up to
+    isomorphism.
 
     The degenerate (0, 0) structure is a valid vacuous co-category but
     is only reachable when a bound is zero (an empty Q0 admits no maps
@@ -491,7 +520,7 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
 
 def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
                   i: FinMap) -> Iterator[CoCategoryData]:
-    n0, n1 = q0.size, q1.size
+    n1 = q1.size
     double, triple = double_and_triple(FINSET, l, r)
     nu1, nu2 = (m.table for m in double.injections)
     t1, t2, t3 = triple.injections
@@ -507,30 +536,17 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
         return
 
     # axioms q.l = nu1.l and q.r = nu2.r pin q on the images of l and r
-    base: list[Optional[int]] = [None] * n1
-    for x in range(n0):
-        e = l.table[x]
-        if base[e] is None:
-            base[e] = nu1[e]
-        elif base[e] != nu1[e]:
-            return
-    for x in range(n0):
-        e = r.table[x]
-        if base[e] is None:
-            base[e] = nu2[e]
-        elif base[e] != nu2[e]:
-            return
-    free = [z for z in range(n1) if base[z] is None]
+    base = _fill_copair_table(n1, l.table, r.table,
+                              [nu1[e] for e in l.table], [nu2[e] for e in r.table])
+    if base is None:
+        return
+    # both counit axioms hold pointwise: q(z) must fold back to z on
+    # either side, so each entry ranges only over such apex elements
+    options = [[w for w in (range(apex) if base[z] is None else (base[z],))
+                if fold_left[w] == z == fold_right[w]] for z in range(n1)]
 
     t1t, t3t = t1.table, t3.table
-    for assignment in itertools.product(range(apex), repeat=len(free)):
-        qt = list(base)
-        for z, val in zip(free, assignment):
-            qt[z] = val
-        if any(fold_left[qt[z]] != z for z in range(n1)):
-            continue
-        if any(fold_right[qt[z]] != z for z in range(n1)):
-            continue
+    for qt in itertools.product(*options):
         q_then_j1 = tuple(j1[qt[x]] for x in range(n1))
         q_then_kappa = tuple(kappa[qt[x]] for x in range(n1))
         left_assoc = _fill_copair_table(apex, nu1, nu2, q_then_j1, t3t)
@@ -663,21 +679,41 @@ def iso_cocategories(a: CoCategoryData, b: CoCategoryData,
     With ``fix_q0`` only the identity is tried on Q0, i.e. the search
     asks for an isomorphism over the shared base object (how a
     structure is compared with its pullback along a characteristic
-    map)."""
+    map).
+
+    Given f0, the l- and r-squares force f1 on the images of a's l and
+    r; an f0 whose forced part is not injective is skipped, and only
+    the elements neither image hits are permuted.  Bijections are tried
+    in the same order as a search over all pairs, so the same pair is
+    found."""
     from .core import check_cocat_morphism
 
     if a.q0.size != b.q0.size or a.q1.size != b.q1.size:
         return None
     import math
 
-    space = (1 if fix_q0 else math.factorial(a.q0.size)) * math.factorial(a.q1.size)
+    n1 = a.q1.size
+    free_count = len(uncovered([a.l, a.r]))
+    space = (1 if fix_q0 else math.factorial(a.q0.size)) * math.factorial(free_count)
     if space > max_candidates:
         raise SizeLimit(f"isomorphism search space {space} exceeds cap {max_candidates}")
     base = [tuple(range(a.q0.size))] if fix_q0 else itertools.permutations(range(a.q0.size))
     for p0 in base:
         f0 = FinMap(a.q0, b.q0, p0)
-        for p1 in itertools.permutations(range(a.q1.size)):
-            f1 = FinMap(a.q1, b.q1, p1)
+        # f1 . l = l' . f0 and f1 . r = r' . f0 on the images of l and r
+        table = _fill_copair_table(n1, a.l.table, a.r.table,
+                                   [b.l.table[x] for x in p0], [b.r.table[x] for x in p0])
+        if table is None:
+            continue
+        forced = [v for v in table if v is not None]
+        if len(set(forced)) != len(forced):
+            continue
+        free = [z for z in range(n1) if table[z] is None]
+        rest = [v for v in range(n1) if v not in forced]
+        for values in itertools.permutations(rest):
+            for z, v in zip(free, values):
+                table[z] = v
+            f1 = FinMap(a.q1, b.q1, tuple(table))
             if check_cocat_morphism(FINSET, a, b, f0, f1).ok:
                 return f0, f1
     return None

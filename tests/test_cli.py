@@ -79,6 +79,13 @@ class TestEnumerate:
         assert result.exit_code == 2
         assert "CapExceeded" in result.output
 
+    def test_q1_cap_is_six(self, runner):
+        accepted = runner.invoke(main, ["enumerate", "--q0-max", "1", "--q1-max", "6"])
+        assert accepted.exit_code == 0, accepted.output
+        refused = runner.invoke(main, ["enumerate", "--q0-max", "1", "--q1-max", "7"])
+        assert refused.exit_code == 2
+        assert "CapExceeded" in refused.output
+
     def test_negative_bound(self, runner):
         result = runner.invoke(main, ["enumerate", "--q0-max", "-1", "--q1-max", "1"])
         assert result.exit_code == 2

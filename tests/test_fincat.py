@@ -30,6 +30,7 @@ from cocat.fincat import (
     pushout_cats,
     terminal_category,
     validate,
+    _complete_tables,
     _enumerate_categories,
 )
 
@@ -229,3 +230,13 @@ class TestCategoryEnumeration:
     def test_all_enumerated_are_valid(self):
         for c in _enumerate_categories(3):
             assert validate(c)
+
+    def test_incremental_associativity_keeps_every_table(self):
+        # each yielded table is fully associative, and as many come out
+        # as when every composable triple was rescanned per entry
+        cats = list(_enumerate_categories(4))
+        assert len(cats) == 241
+        assert all(validate(c) for c in cats)
+        monoids = list(_complete_tables(1, (0,) * 4, (0,) * 4))
+        assert len(monoids) == 156
+        assert all(validate(c) for c in monoids)

@@ -12,11 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocat.core import (
+    CoCategoryData,
     CoconeMismatch,
     NotMono,
     SizeLimit,
+    TypeMismatch,
+    check_cocat_morphism,
     check_cocategory,
     classify,
+    coinverse_candidates,
     double_and_triple,
 )
 from cocat.finset import (
@@ -286,6 +290,18 @@ class TestEnumeration:
             s = 2 * n0 - n1
             assert count == math.comb(n0, s) * math.factorial(n1)
 
+    def test_bounds_3_5_closed_form(self):
+        by_size = {}
+        for d in enumerate_cocategories(3, 5):
+            key = (d.q0.size, d.q1.size)
+            by_size[key] = by_size.get(key, 0) + 1
+        assert sum(by_size.values()) == 479
+        for n0 in range(1, 4):
+            for n1 in range(1, 6):
+                s = 2 * n0 - n1
+                expected = math.comb(n0, s) * math.factorial(n1) if 0 <= s <= n0 else 0
+                assert by_size.get((n0, n1), 0) == expected
+
     def test_vacuous_bounds(self):
         found = list(enumerate_cocategories(0, 0))
         assert len(found) == 1
@@ -433,3 +449,80 @@ class TestIso:
         a = trivial_cocategory()
         b = cokernel_pair_cocategory(subset_mono([0], FinSetObj(2)))
         assert iso_cocategories(a, b) is None
+
+    @pytest.mark.parametrize("fix_q0", [False, True])
+    def test_forced_search_matches_all_pairs(self, fix_q0):
+        # the oracle tries every pair of bijections in order, without
+        # forcing f1 from the l- and r-squares
+        def all_pairs(a, b):
+            n0, n1 = a.q0.size, a.q1.size
+            base = [tuple(range(n0))] if fix_q0 else itertools.permutations(range(n0))
+            for p0 in base:
+                for p1 in itertools.permutations(range(n1)):
+                    f0, f1 = FinMap(a.q0, b.q0, p0), FinMap(a.q1, b.q1, p1)
+                    if check_cocat_morphism(FINSET, a, b, f0, f1).ok:
+                        return f0, f1
+            return None
+
+        found = list(enumerate_cocategories(2, 4))
+        pairs = 0
+        for a in found:
+            for b in found:
+                if (a.q0.size, a.q1.size) != (b.q0.size, b.q1.size):
+                    continue
+                pairs += 1
+                assert iso_cocategories(a, b, fix_q0=fix_q0) == all_pairs(a, b)
+        assert pairs == 1 + 4 + 4 + 144 + 576
+
+    def test_non_injective_forcing_is_no_iso(self):
+        # the squares force f1 = (0, 0), which commutes with all the
+        # structure but is no bijection, so no isomorphism exists
+        a = cokernel_pair_cocategory(subset_mono([], FinSetObj(1)))
+        b = _hand_built(1, 2, (0,), (0,), (0, 0), (0, 0))
+        f0, f1 = identity(a.q0), FinMap(a.q1, b.q1, (0, 0))
+        assert check_cocat_morphism(FINSET, a, b, f0, f1).ok
+        assert iso_cocategories(a, b) is None
+
+
+def _hand_built(n0, n1, l, r, i, q):
+    """A structure with the given tables and canonical witnesses; its
+    axioms need not hold."""
+    q0, q1 = FinSetObj(n0), FinSetObj(n1)
+    l_map, r_map = FinMap(q0, q1, l), FinMap(q0, q1, r)
+    double, triple = double_and_triple(FINSET, l_map, r_map)
+    return CoCategoryData(q0, q1, l_map, r_map, FinMap(q1, q0, i),
+                          FinMap(q1, double.apex, q), double, triple)
+
+
+class TestSolveCoinverse:
+    def test_agrees_with_enumeration(self):
+        found = list(enumerate_cocategories(2, 4))
+        assert len(found) == 41
+        for d in found:
+            solutions, _ = coinverse_candidates(FINSET, d)
+            s = FINSET.solve_coinverse(d)
+            assert (s is None) == (not solutions)
+            assert s is None or s in solutions
+
+    def test_pin_conflict(self):
+        # s.l = r sends both elements to 0, but s.r = l needs s(0) = 1
+        d = _hand_built(2, 2, (0, 1), (0, 0), (0, 1), (0, 0))
+        assert FINSET.solve_coinverse(d) is None
+        assert coinverse_candidates(FINSET, d)[0] == []
+
+    @pytest.mark.parametrize("q, has_coinverse", [((0, 0), True), ((0, 1), False)])
+    def test_uncovered_element_is_searched(self, q, has_coinverse):
+        # l = r miss element 1 of Q1, so s(1) is not pinned and every
+        # value is tried; with q = (0, 1) left-cancel fails for all
+        d = _hand_built(1, 2, (0,), (0,), (0, 0), q)
+        solutions, searched = coinverse_candidates(FINSET, d)
+        assert searched == 4 and bool(solutions) is has_coinverse
+        s = FINSET.solve_coinverse(d)
+        assert s == (solutions[0] if solutions else None)
+
+    def test_legs_outside_q1_are_a_type_mismatch(self):
+        d = _hand_built(1, 2, (0,), (1,), (0, 0), (0, 0))
+        wide = FinMap(d.q0, FinSetObj(3), (2,))
+        with pytest.raises(TypeMismatch):
+            FINSET.solve_coinverse(CoCategoryData(d.q0, d.q1, wide, d.r, d.i, d.q,
+                                                  d.double, d.triple))
