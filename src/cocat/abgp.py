@@ -23,7 +23,7 @@ against the mirror-image axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     CategoryCapabilities,
@@ -205,6 +205,34 @@ def _simplify_presentation(n: int, rel: IntMatrix, maps_into: list[IntMatrix]):
 # Capabilities instance
 
 
+def _copair_matrix(witness: PushoutWitness, u: IntMatrix, v: IntMatrix) -> IntMatrix:
+    """The matrix of [u, v] out of the apex: the columns of [u | v] at
+    the disjoint-sum generators that survived simplification."""
+    if witness.payload is None or "kept" not in witness.payload:
+        raise UnsupportedCapability("witness lacks the column bookkeeping for copairing")
+    return hstack(u, v).select_cols(witness.payload["kept"])
+
+
+def coinverse_residual(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
+                       i: IntMatrix, q: IntMatrix) -> Callable[[IntMatrix], list[int]]:
+    """The four co-inverse identities s.l = r, s.r = l, [1,s].q = l.i and
+    [s,1].q = r.i as one affine residual in the matrix of s, flattened
+    row by row; ``double`` is the pushout witness q lands in."""
+    eye = IntMatrix.identity(l.rows)
+    li = l @ i
+    ri = r @ i
+
+    def residual(s: IntMatrix) -> list[int]:
+        out: list[int] = []
+        for m in (s @ l - r, s @ r - l,
+                  _copair_matrix(double, eye, s) @ q - li,
+                  _copair_matrix(double, s, eye) @ q - ri):
+            out.extend(x for row in m.data for x in row)
+        return out
+
+    return residual
+
+
 class AbGp(CategoryCapabilities):
     name = "abgp"
 
@@ -247,10 +275,7 @@ class AbGp(CategoryCapabilities):
         f, g = witness.legs
         if not ab_equal(ab_compose(f, u), ab_compose(g, v)):
             raise CoconeMismatch("cocone condition u.f = v.g fails")
-        if witness.payload is None or "kept" not in witness.payload:
-            raise UnsupportedCapability("witness lacks the column bookkeeping for copairing")
-        combined = hstack(u.matrix, v.matrix).select_cols(witness.payload["kept"])
-        return AbMap(witness.apex, u.cod, combined)
+        return AbMap(witness.apex, u.cod, _copair_matrix(witness, u.matrix, v.matrix))
 
     def pullback(self, f: AbMap, g: AbMap):
         """{(x, y) : f(x) = g(y)} for free sources, presented freely.
@@ -293,27 +318,9 @@ class AbGp(CategoryCapabilities):
         """
         if not (data.q0.is_free and data.q1.is_free and data.double.apex.is_free):
             raise UnsupportedCapability("co-inverse solving needs free groups")
-        if data.double.payload is None or "kept" not in data.double.payload:
-            raise UnsupportedCapability("double witness lacks column bookkeeping")
-        n = data.q1.rank
-        kept = data.double.payload["kept"]
-        eye = IntMatrix.identity(n)
-        li = data.l.matrix @ data.i.matrix
-        ri = data.r.matrix @ data.i.matrix
-
-        def residual(mats: list[IntMatrix]) -> list[int]:
-            (smat,) = mats
-            out: list[int] = []
-            for m in (
-                smat @ data.l.matrix - data.r.matrix,
-                smat @ data.r.matrix - data.l.matrix,
-                hstack(eye, smat).select_cols(kept) @ data.q.matrix - li,
-                hstack(smat, eye).select_cols(kept) @ data.q.matrix - ri,
-            ):
-                out.extend(x for row in m.data for x in row)
-            return out
-
-        sol = solve_affine(residual, [n])
+        residual = coinverse_residual(data.double, data.l.matrix, data.r.matrix,
+                                      data.i.matrix, data.q.matrix)
+        sol = solve_affine(lambda mats: residual(*mats), [data.q1.rank])
         if sol is None:
             return None
         return AbMap(data.q1, data.q1, sol[0])

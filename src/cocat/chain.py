@@ -37,7 +37,7 @@ from .core import (
     double_and_triple,
 )
 from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf, solve_affine
-from .abgp import ABGP, AbMap, FgAbGroup, free_group
+from .abgp import ABGP, AbMap, FgAbGroup, coinverse_residual, free_group
 from .fincat import FinCategory, FunctorData
 
 
@@ -207,34 +207,24 @@ class Ch(CategoryCapabilities):
 
     def solve_coinverse(self, data: CoCategoryData) -> Optional[ChainMap]:
         """One integer linear system over all degrees at once: the four
-        co-inverse identities plus the boundary-commutation squares."""
+        co-inverse identities in each degree (``abgp.coinverse_residual``)
+        plus the boundary-commutation squares."""
         if data.double.payload is None or "degrees" not in data.double.payload:
             raise UnsupportedCapability("double witness lacks degreewise bookkeeping")
         q1 = data.q1
-        degs = q1.max_degree
-        ranks = q1.ranks
-        kept = [w.payload["kept"] for w in data.double.payload["degrees"]]
-        eyes = [IntMatrix.identity(r) for r in ranks]
-        li = [lm @ im for lm, im in zip(data.l.mats, data.i.mats)]
-        ri = [rm @ im for rm, im in zip(data.r.mats, data.i.mats)]
+        degreewise = [coinverse_residual(*parts) for parts in zip(
+            data.double.payload["degrees"], data.l.mats, data.r.mats, data.i.mats, data.q.mats)]
 
         def residual(mats: list[IntMatrix]) -> list[int]:
             out: list[int] = []
-            for d in range(degs + 1):
-                s = mats[d]
-                for m in (
-                    s @ data.l.mats[d] - data.r.mats[d],
-                    s @ data.r.mats[d] - data.l.mats[d],
-                    hstack(eyes[d], s).select_cols(kept[d]) @ data.q.mats[d] - li[d],
-                    hstack(s, eyes[d]).select_cols(kept[d]) @ data.q.mats[d] - ri[d],
-                ):
-                    out.extend(x for row in m.data for x in row)
-            for d in range(1, degs + 1):
+            for identities, s in zip(degreewise, mats):
+                out.extend(identities(s))
+            for d in range(1, q1.max_degree + 1):
                 m = mats[d - 1] @ q1.diff(d) - q1.diff(d) @ mats[d]
                 out.extend(x for row in m.data for x in row)
             return out
 
-        mats = solve_affine(residual, ranks)
+        mats = solve_affine(residual, q1.ranks)
         if mats is None:
             return None
         return ChainMap(q1, q1, tuple(mats))
@@ -350,17 +340,20 @@ class NormalizedNerve:
         return len(self.simplices[k]) if k < len(self.simplices) else 0
 
 
-def nerve(c: FinCategory, depth: int = 3) -> NormalizedNerve:
-    """Nondegenerate simplices through the requested dimension (3 by
-    default: dimension 2 pins the degree-1 quotient, dimension 3 feeds
-    the zero-square check).  Raises NonComposable on an invalid
-    composition table."""
+# Top simplex dimension of the nerve: dimension 2 pins the degree-1
+# quotient, dimension 3 feeds the zero-square check.
+_NERVE_DEPTH = 3
+
+
+def nerve(c: FinCategory) -> NormalizedNerve:
+    """Nondegenerate simplices through dimension 3 (``_NERVE_DEPTH``).
+    Raises NonComposable on an invalid composition table."""
     from .fincat import check_category
 
     check_category(c)
     non_ids = c.non_identities()
     simplices: list[tuple] = [tuple(range(c.n_objects)), tuple((m,) for m in non_ids)]
-    for k in range(2, depth + 1):
+    for k in range(2, _NERVE_DEPTH + 1):
         prev = simplices[k - 1]
         ext = tuple(chain + (m,) for chain in prev for m in non_ids
                     if c.tgt[chain[-1]] == c.src[m])
@@ -372,7 +365,7 @@ def nerve(c: FinCategory, depth: int = 3) -> NormalizedNerve:
     for (m,) in simplices[1]:
         level1.append((c.tgt[m], c.src[m]))  # d0 drops the source vertex
     faces.append(tuple(level1))
-    for k in range(2, depth + 1):
+    for k in range(2, _NERVE_DEPTH + 1):
         level = []
         for chain in simplices[k]:
             entries = []
@@ -446,18 +439,18 @@ def pipeline(c: FinCategory) -> ChainComplex:
     return truncate_ge2(free_normalized_chains(nerve(c)))
 
 
-def _induced_matrices(fun: FunctorData, depth: int = 3) -> list[IntMatrix]:
+def _induced_matrices(fun: FunctorData) -> list[IntMatrix]:
     """Matrices of the induced map on normalised chains: a simplex maps
     to its image chain, or to zero when the image degenerates."""
-    nd = nerve(fun.dom, depth)
-    nc = nerve(fun.cod, depth)
+    nd = nerve(fun.dom)
+    nc = nerve(fun.cod)
     index = [{s: i for i, s in enumerate(level)} for level in nc.simplices]
     mats = []
     data0 = [[0] * len(nd.simplices[0]) for _ in range(len(nc.simplices[0]))]
     for col, ob in enumerate(nd.simplices[0]):
         data0[fun.obj_map[ob]][col] = 1
     mats.append(IntMatrix.from_rows(data0, cols=len(nd.simplices[0])))
-    for k in range(1, depth + 1):
+    for k in range(1, _NERVE_DEPTH + 1):
         rows, cols = len(nc.simplices[k]), len(nd.simplices[k])
         data = [[0] * cols for _ in range(rows)]
         for col, chain in enumerate(nd.simplices[k]):

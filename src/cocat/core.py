@@ -350,8 +350,7 @@ def _validate_witnesses(cat: CategoryCapabilities, data: CoCategoryData) -> None
             raise IllFormedPushout(f"{label} witness: injections do not cover the apex")
 
 
-def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData,
-                     *, validate_witnesses: bool = True) -> Report:
+def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData) -> Report:
     """Check the co-category axioms, one named entry per diagram.
 
     Copairings such as [q, nu3] only exist when their cocone condition
@@ -359,8 +358,7 @@ def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData,
     that needed the copairing.
     """
     _typecheck(cat, data)
-    if validate_witnesses:
-        _validate_witnesses(cat, data)
+    _validate_witnesses(cat, data)
 
     l, r, i, q = data.l, data.r, data.i, data.q
     n1, n2 = data.double.injections
@@ -396,9 +394,6 @@ def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData,
 
 # ---------------------------------------------------------------------------
 # Classification
-
-
-COINVERSE_IDENTITIES = ("swap-left", "swap-right", "left-cancel", "right-cancel")
 
 
 def coinverse_violation(cat: CategoryCapabilities, data: CoCategoryData, s) -> Optional[str]:

@@ -163,6 +163,11 @@ class FunctorData:
     def __post_init__(self):
         if len(self.obj_map) != self.dom.n_objects or len(self.mor_map) != self.dom.n_morphisms:
             raise TypeMismatch("assignment lengths do not match the domain")
+        cod = self.cod
+        if min(self.obj_map, default=0) < 0 or max(self.obj_map, default=-1) >= cod.n_objects:
+            raise TypeMismatch("object index out of range")
+        if min(self.mor_map, default=0) < 0 or max(self.mor_map, default=-1) >= cod.n_morphisms:
+            raise TypeMismatch("morphism index out of range")
         if not _is_functorial(self.dom, self.cod, self.obj_map, self.mor_map):
             raise TypeMismatch("assignments do not form a functor")
 
@@ -445,7 +450,6 @@ def _enumerate_categories(max_morphisms: int) -> Iterator[FinCategory]:
     for m in range(1, max_morphisms + 1):
         for n_obj in range(1, m + 1):
             k = m - n_obj
-            gens = list(range(n_obj, m))
             for src_t in itertools.product(range(n_obj), repeat=k):
                 for tgt_t in itertools.product(range(n_obj), repeat=k):
                     src = tuple(range(n_obj)) + src_t

@@ -23,16 +23,16 @@ from typing import Callable, Iterator, Optional
 
 from .core import (
     CategoryCapabilities,
+    Check,
     CoCategoryData,
-    CocatError,
     CoconeMismatch,
     IllFormedPushout,
     InvariantViolation,
     NotMono,
     PushoutWitness,
+    Report,
     SizeLimit,
     TypeMismatch,
-    check_cocategory,
     coinverse_violation,
     cokernel_pair,
     double_and_triple,
@@ -237,10 +237,6 @@ def uncovered(maps) -> list[int]:
     return [x for x in range(cod.size) if x not in hit]
 
 
-def is_jointly_covering(maps) -> bool:
-    return not uncovered(maps)
-
-
 def equalizer(f: FinMap, g: FinMap) -> FinMap:
     """The subset where two parallel maps agree, as a mono into dom."""
     if f.dom != g.dom or f.cod != g.cod:
@@ -346,118 +342,75 @@ def discrete_cocategory(obj: FinSetObj) -> CoCategoryData:
 # Step-by-step verification that a co-category is a co-equivalence relation
 
 
-@dataclass(frozen=True)
-class ProofReport:
-    """Record of every step of the co-equivalence verification.
-
-    All flags are True for every valid co-category in finite sets; a
-    False entry is either a bug or a refutation, and ``notes`` then
-    carries a concrete element witness for the first failure.
-    """
-
-    pullback1: tuple[FinSetObj, FinMap, FinMap]  # (P1, q_1, m_1)
-    pullback2: tuple[FinSetObj, FinMap, FinMap]
-    nu_preimages_cover: bool
-    left_retraction: bool   # l.i.q_1 = m_1
-    right_retraction: bool  # r.i.q_2 = m_2
-    lr_jointly_cover: bool
-    lr_pullback: tuple[FinSetObj, FinMap, FinMap]
-    projections_equal: bool
-    square_is_pushout: bool
-    coinverse: Optional[FinMap]
-    coinverse_valid: bool
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return (self.nu_preimages_cover and self.left_retraction
-                and self.right_retraction and self.lr_jointly_cover
-                and self.projections_equal and self.square_is_pushout
-                and self.coinverse is not None and self.coinverse_valid)
+def _first_difference(f: FinMap, g: FinMap) -> Optional[int]:
+    """The first element where two maps with a common domain differ."""
+    return next((x for x, (a, b) in enumerate(zip(f.table, g.table)) if a != b), None)
 
 
-def verify_proposition(data: CoCategoryData) -> ProofReport:
+def verify_proposition(data: CoCategoryData) -> Report:
     """Walk the whole argument on one concrete co-category.
 
-    Pull the two summands of the double pushout back along q, show the
-    preimages cover Q1 and retract onto the images of l and r, conclude
-    l, r jointly cover, show the two projections of their pullback
-    agree, check that pullback square is also a pushout, and construct
-    the co-inverse from its universal property.
+    The caller checks the axioms first (e.g. through ``classify``); the
+    walkthrough assumes them and, on a structure that breaks them,
+    reports the steps where the argument fails.  One check per step:
+
+    * ``preimages-cover``: pulling the two summands of the double
+      pushout back along q gives preimages that cover Q1;
+    * ``left-retraction``, ``right-retraction``: they retract onto the
+      images of l and r (l.i.q_1 = m_1, r.i.q_2 = m_2);
+    * ``legs-cover``: so l and r jointly cover Q1;
+    * ``projections-equal``: the two projections of their pullback agree;
+    * ``square-is-pushout``: that pullback square is also a pushout;
+    * ``coinverse``: its universal property yields a co-inverse.
+
+    A failing step's detail carries a concrete element witness; a step
+    that cannot run because an earlier one failed has no detail.
     """
-    axioms = check_cocategory(FINSET, data)
-    if not axioms.ok:
-        raise CocatError(f"verify_proposition needs a valid co-category; failed: {axioms.failures}")
+    checks: list[Check] = []
 
-    notes: list[str] = []
+    def step(name: str, failure: Optional[str]) -> bool:
+        checks.append(Check(name, failure is None, failure))
+        return failure is None
+
     nu1, nu2 = data.double.injections
-
     # P_j = pullback of nu_j along q, with q_j into the nu side and m_j
     # into the q side.
-    P1, m1, q1 = pullback(data.q, nu1)
-    P2, m2, q2 = pullback(data.q, nu2)
-    nu_missing = uncovered([m1, m2])
-    if nu_missing:
-        notes.append(f"element {nu_missing[0]} of Q1 lies in neither preimage")
+    _, m1, q1 = pullback(data.q, nu1)
+    _, m2, q2 = pullback(data.q, nu2)
+    missing = uncovered([m1, m2])
+    step("preimages-cover",
+         f"element {missing[0]} of Q1 lies in neither preimage" if missing else None)
 
-    li = compose(data.i, data.l)
-    ri = compose(data.i, data.r)
-    left_retr = compose(q1, li) == m1
-    right_retr = compose(q2, ri) == m2
-    if not left_retr:
-        bad = next(p for p in range(P1.size)
-                   if li.table[q1.table[p]] != m1.table[p])
-        notes.append(f"l.i.q_1 != m_1 at P1 element {bad}")
-    if not right_retr:
-        bad = next(p for p in range(P2.size)
-                   if ri.table[q2.table[p]] != m2.table[p])
-        notes.append(f"r.i.q_2 != m_2 at P2 element {bad}")
+    bad = _first_difference(compose(q1, compose(data.i, data.l)), m1)
+    step("left-retraction", None if bad is None else f"l.i.q_1 != m_1 at P1 element {bad}")
+    bad = _first_difference(compose(q2, compose(data.i, data.r)), m2)
+    step("right-retraction", None if bad is None else f"r.i.q_2 != m_2 at P2 element {bad}")
 
-    lr_missing = uncovered([data.l, data.r])
-    if lr_missing:
-        notes.append(f"element {lr_missing[0]} of Q1 not hit by l or r")
+    missing = uncovered([data.l, data.r])
+    step("legs-cover", f"element {missing[0]} of Q1 not hit by l or r" if missing else None)
 
-    K, p1, p2 = pullback(data.l, data.r)
-    proj_eq = p1 == p2
-    if not proj_eq:
-        bad = next(k for k in range(K.size) if p1.table[k] != p2.table[k])
-        notes.append(f"pullback projections differ at element {bad}")
+    _, p1, p2 = pullback(data.l, data.r)
+    bad = _first_difference(p1, p2)
+    proj_eq = step("projections-equal",
+                   None if bad is None else f"pullback projections differ at element {bad}")
 
     W = pushout(p1, p2)
-    square_pushout = False
-    s: Optional[FinMap] = None
-    s_valid = False
     try:
         comparison = copair(W, data.l, data.r)
-        square_pushout = is_bijective(comparison)
-        if not square_pushout:
-            notes.append(f"comparison map has size {W.apex.size} vs Q1 size {data.q1.size}"
-                         if W.apex.size != data.q1.size else
-                         "comparison map is not injective")
-        if square_pushout and proj_eq:
-            swapped = copair(W, data.r, data.l)
-            s = compose(inverse(comparison), swapped)
-            bad_identity = coinverse_violation(FINSET, data, s)
-            s_valid = bad_identity is None
-            if not s_valid:
-                notes.append(f"constructed co-inverse violates {bad_identity}")
     except (CoconeMismatch, IllFormedPushout) as exc:
-        notes.append(f"pushout comparison undefined: {exc}")
-
-    return ProofReport(
-        pullback1=(P1, q1, m1),
-        pullback2=(P2, q2, m2),
-        nu_preimages_cover=not nu_missing,
-        left_retraction=left_retr,
-        right_retraction=right_retr,
-        lr_jointly_cover=not lr_missing,
-        lr_pullback=(K, p1, p2),
-        projections_equal=proj_eq,
-        square_is_pushout=square_pushout,
-        coinverse=s,
-        coinverse_valid=s_valid,
-        notes=tuple(notes),
-    )
+        square = step("square-is-pushout", f"pushout comparison undefined: {exc}")
+    else:
+        square = step("square-is-pushout", None if is_bijective(comparison) else
+                      f"comparison map has size {W.apex.size} vs Q1 size {data.q1.size}"
+                      if W.apex.size != data.q1.size else "comparison map is not injective")
+    if square and proj_eq:
+        s = compose(inverse(comparison), copair(W, data.r, data.l))
+        violated = coinverse_violation(FINSET, data, s)
+        step("coinverse",
+             None if violated is None else f"constructed co-inverse violates {violated}")
+    else:
+        checks.append(Check("coinverse", False))
+    return Report(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

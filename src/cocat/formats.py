@@ -215,10 +215,10 @@ class _Doc:
 
 def _finmap(doc: _Doc, name: str, dom: fs.FinSetObj, cod: fs.FinSetObj) -> fs.FinMap:
     table = doc.ints(name, length=dom.size)
-    bad = next((v for v in table if not 0 <= v < cod.size), None)
-    if bad is not None:
-        raise ParseError(f"field '{name}': entry {bad} out of range for size {cod.size}")
-    return fs.FinMap(dom, cod, tuple(table))
+    try:
+        return fs.FinMap(dom, cod, tuple(table))
+    except TypeMismatch as exc:
+        raise ParseError(f"field '{name}': {exc}")
 
 
 def _finset(doc: _Doc, name: str) -> fs.FinSetObj:
@@ -366,10 +366,6 @@ def _category(doc: _Doc, name: str) -> fc.FinCategory:
 def _functor(doc: _Doc, name: str, dom: fc.FinCategory, cod: fc.FinCategory) -> fc.FunctorData:
     obj_map = doc.ints(f"{name}-obj", length=dom.n_objects)
     mor_map = doc.ints(f"{name}-mor", length=dom.n_morphisms)
-    if any(not 0 <= x < cod.n_objects for x in obj_map):
-        raise ParseError(f"field '{name}-obj': object index out of range")
-    if any(not 0 <= x < cod.n_morphisms for x in mor_map):
-        raise ParseError(f"field '{name}-mor': morphism index out of range")
     try:
         return fc.FunctorData(dom, cod, tuple(obj_map), tuple(mor_map))
     except TypeMismatch as exc:

@@ -6,7 +6,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cocat import abgp, finset, formats
+from cocat import abgp, core, finset, formats
 from cocat.cli import main
 
 
@@ -69,6 +69,21 @@ class TestEnumerate:
         assert payload["summary"]["violations"] == 0
         assert payload["summary"]["iso-classes"] == 5
         assert payload["summary"]["nontrivial-structures"] >= 1
+
+    def test_theorem_harness_checks_axioms_once(self, runner, monkeypatch):
+        calls = []
+        check = core.check_cocategory
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(core, "check_cocategory", counted)
+        monkeypatch.setattr(finset, "check_cocategory", counted, raising=False)
+        result = runner.invoke(main, ["enumerate", "--q0-max", "2", "--q1-max", "3",
+                                      "--verify-theorem", "--format", "json"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == json.loads(result.output)["summary"]["structures"]
 
     def test_progress_stream_in_human_mode(self, runner):
         result = runner.invoke(main, ["enumerate", "--q0-max", "1", "--q1-max", "2"])

@@ -101,6 +101,11 @@ class TestFunctors:
         with pytest.raises(TypeMismatch):
             FunctorData(arrow, arrow, (0, 1), (0, 1, 0))  # arrow sent to id0
 
+    @pytest.mark.parametrize("obj_map, mor_map", [((5,), (9,)), ((0,), (9,))])
+    def test_out_of_range_assignment_rejected(self, obj_map, mor_map):
+        with pytest.raises(TypeMismatch, match="out of range"):
+            FunctorData(terminal_category(), arrow_category(), obj_map, mor_map)
+
 
 class TestPushouts:
     def test_arrow_glued_end_to_start(self):

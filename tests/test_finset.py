@@ -38,7 +38,6 @@ from cocat.finset import (
     equalizer,
     identity,
     image,
-    is_jointly_covering,
     is_mono,
     iso_cocategories,
     pullback,
@@ -46,6 +45,7 @@ from cocat.finset import (
     pushout,
     subset_mono,
     trivial_cocategory,
+    uncovered,
     universal_cocategory,
     union,
     verify_proposition,
@@ -97,7 +97,7 @@ class TestPushout:
             g = FinMap(s, b, tuple(rng.randrange(b.size) for _ in range(s.size)))
             w = pushout(f, g)
             assert compose(f, w.injections[0]) == compose(g, w.injections[1])
-            assert is_jointly_covering(w.injections)
+            assert not uncovered(w.injections)
 
     def test_universal_property_by_exhaustion(self):
         # every compatible cocone factors uniquely; checked against all
@@ -180,7 +180,7 @@ class TestCoherentStructure:
         s1 = Subobject(two, (0,))
         s2 = Subobject(two, (1,))
         assert union(s1, s2).elements == (0, 1)
-        assert is_jointly_covering([s1.as_mono(), s2.as_mono()])
+        assert not uncovered([s1.as_mono(), s2.as_mono()])
 
     def test_equalizer_recovers_subobject(self):
         for a in range(1, 5):
@@ -214,27 +214,33 @@ class TestCoherentStructure:
         assert image(p1).elements == preimage(s1)
 
 
+STEPS = ("preimages-cover", "left-retraction", "right-retraction", "legs-cover",
+         "projections-equal", "square-is-pushout", "coinverse")
+
+
 class TestProofWalkthrough:
     def test_cokernel_pair(self):
-        data = cokernel_pair_cocategory(subset_mono([0], FinSetObj(2)))
-        report = verify_proposition(data)
+        report = verify_proposition(cokernel_pair_cocategory(subset_mono([0], FinSetObj(2))))
         assert report.ok
-        p1, q1, m1 = report.pullback1
-        assert p1.size == 2  # the glued point and the left-only point
-        assert image(m1) == image(data.l)
+        assert tuple(c.name for c in report.checks) == STEPS
+        assert all(c.detail is None for c in report.checks)
 
     def test_trivial(self):
         report = verify_proposition(trivial_cocategory())
         assert report.ok
-        assert report.lr_pullback[0].size == 1
+        assert tuple(c.name for c in report.checks) == STEPS
 
     def test_rejects_invalid_input(self):
+        # q collapses Q1 onto one apex element: the axioms fail, and the
+        # walkthrough names the steps where the argument breaks
         d = cokernel_pair_cocategory(subset_mono([0], FinSetObj(2)))
-        from cocat.core import CoCategoryData, CocatError
         bad_q = FinMap(d.q1, d.double.apex, (0,) * 3)
         broken = CoCategoryData(d.q0, d.q1, d.l, d.r, d.i, bad_q, d.double, d.triple)
-        with pytest.raises(CocatError):
-            verify_proposition(broken)
+        report = verify_proposition(broken)
+        assert report.failures == ("left-retraction", "right-retraction", "coinverse")
+        assert report["left-retraction"].detail == "l.i.q_1 != m_1 at P1 element 1"
+        assert report["right-retraction"].detail == "r.i.q_2 != m_2 at P2 element 1"
+        assert report["coinverse"].detail == "constructed co-inverse violates left-cancel"
 
 
 def _naive_count(n0, n1):
@@ -249,7 +255,7 @@ def _naive_count(n0, n1):
                 for q in _maps(n1, double.apex.size):
                     from cocat.core import CoCategoryData
                     data = CoCategoryData(q0, q1, l, r, i, q, double, triple)
-                    if check_cocategory(FINSET, data, validate_witnesses=False).ok:
+                    if check_cocategory(FINSET, data).ok:
                         count += 1
     return count
 

@@ -114,7 +114,12 @@ class TestDiagnostics:
         ("category: finset\nq0: -1\nq1: 1\nl:\nr:\ni: 0\nq: 0\n", "q0"),
         # complexes over different degrees cannot carry a chain map
         ("category: chain\nq0-ranks: 1\nq1-ranks: 1 0\n", "l-\\*"),
-    ], ids=["cat-identity-index", "finset-negative-size", "chain-degree-mismatch"])
+        # functor morphism index past the morphism list
+        ("category: cat\nq0-objects: 1\nq0-morphisms:\n0 0\nq0-identities: 0\n"
+         "q1-objects: 1\nq1-morphisms:\n0 0\nq1-identities: 0\nl-obj: 0\nl-mor: 1\n",
+         "l-\\*"),
+    ], ids=["cat-identity-index", "finset-negative-size", "chain-degree-mismatch",
+            "cat-functor-index"])
     def test_malformed_is_parse_error(self, text, field):
         with pytest.raises(ParseError, match=f"'{field}'"):
             parse_document(text)
