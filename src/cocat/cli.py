@@ -249,7 +249,7 @@ def enumerate(q0_max: int, q1_max: int, verify_theorem: bool, count_iso: bool,
         blocks.append(info)
         if fmt == "human":
             click.echo(f"      sizes ({info['q0']}, {info['q1']}): {info['found']} structures "
-                       f"from {info['lri_triples']} (l, r, i) candidates")
+                       f"from {info['lri_triples']} representative (l, r, i) candidates")
 
     structures = []
     violations = []

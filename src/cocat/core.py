@@ -263,16 +263,22 @@ def double_and_triple(cat: CategoryCapabilities, l, r) -> tuple[PushoutWitness, 
     records the three composite injections nu1, nu2, nu3.
     """
     double = cat.pushout(r, l)
+    return double, triple_pushout(cat, double)
+
+
+def triple_pushout(cat: CategoryCapabilities, double: PushoutWitness) -> PushoutWitness:
+    """The triple pushout over a double pushout of ``Q1 <-r- Q0 -l-> Q1``,
+    read off its legs; ``double_and_triple`` builds both."""
+    r, l = double.legs
     n1, n2 = double.injections
     second = cat.pushout(cat.compose(r, n2), l)
     j1, j2 = second.injections
-    triple = PushoutWitness(
+    return PushoutWitness(
         apex=second.apex,
         injections=(cat.compose(n1, j1), cat.compose(n2, j1), j2),
         legs=second.legs,
         payload=second.payload,
     )
-    return double, triple
 
 
 def triple_copairs(cat: CategoryCapabilities, data: CoCategoryData):

@@ -36,6 +36,7 @@ from .core import (
     coinverse_violation,
     cokernel_pair,
     double_and_triple,
+    triple_pushout,
 )
 
 
@@ -333,11 +334,6 @@ def trivial_cocategory() -> CoCategoryData:
     return cokernel_pair_cocategory(identity(FinSetObj(1)))
 
 
-def discrete_cocategory(obj: FinSetObj) -> CoCategoryData:
-    """Q0 = Q1 = X with l = r = i = id and q the collapse isomorphism."""
-    return cokernel_pair_cocategory(identity(obj))
-
-
 # ---------------------------------------------------------------------------
 # Step-by-step verification that a co-category is a co-equivalence relation
 
@@ -427,17 +423,20 @@ def _vacuous_cocategory() -> CoCategoryData:
 def enumerate_cocategories(max_q0: int, max_q1: int,
                            progress: Optional[Callable[[dict], None]] = None
                            ) -> Iterator[CoCategoryData]:
-    """Yield every co-category with |Q0| <= max_q0 and |Q1| <= max_q1.
+    """Yield every co-category with |Q0| <= max_q0 and |Q1| <= max_q1,
+    counted on the nose, not up to isomorphism.
 
-    Candidates are pruned by fixing (l, r, i) with i.l = i.r = id
-    first.  The compatibility axioms pin q on the images of l and r,
-    and both counit axioms hold pointwise (q(z) must fold back to z
-    through [l.i, 1] and [1, r.i]), so each leftover entry of q ranges
-    only over the apex elements that fold to z on both sides; only
-    co-associativity is tested per candidate.  This prunes nothing that
-    could pass, so the same structures come out in the same order as an
-    unpruned search.  Structures are counted on the nose, not up to
-    isomorphism.
+    i is onto (i.l = id), and each onto i is i0.sigma^-1 for exactly one
+    non-decreasing i0 (contiguous fibres) and one bijection sigma of Q1
+    increasing on each fibre.  So (l, r, q) are searched under each i0
+    only, and each completion is yielded relabelled along every such
+    sigma, with the canonical ``double_and_triple`` witnesses: orderly
+    generation (McKay 1998) where the canonical form is a sort.  The
+    search assumes nothing of the theorem and prunes nothing that could
+    pass.  Structures come out by size, then representative, then
+    relabelling.  ``progress`` gets one dict per size: ``lri_triples``
+    counts the representative (l, r, i) searched, ``found`` the
+    structures yielded.
 
     The degenerate (0, 0) structure is a valid vacuous co-category but
     is only reachable when a bound is zero (an empty Q0 admits no maps
@@ -453,33 +452,70 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
             found = 0
             triples = 0
             q0, q1 = FinSetObj(n0), FinSetObj(n1)
-            for i_table in itertools.product(range(n0), repeat=n1):
-                fibers = [tuple(y for y in range(n1) if i_table[y] == x)
-                          for x in range(n0)]
-                if any(not fib for fib in fibers):
-                    continue
-                i_map = FinMap(q1, q0, i_table)
-                for l_table in itertools.product(*fibers):
-                    l_map = FinMap(q0, q1, l_table)
-                    for r_table in itertools.product(*fibers):
-                        triples += 1
-                        r_map = FinMap(q0, q1, r_table)
-                        for data in _q_candidates(q0, q1, l_map, r_map, i_map):
-                            found += 1
-                            yield data
+            for fibres, l, r, i in _representative_triples(q0, q1):
+                triples += 1
+                for rep in _q_candidates(q0, q1, l, r, i):
+                    for sigma in _fibre_shuffles(fibres, tuple(range(n1))):
+                        found += 1
+                        yield _relabel(rep, FinMap(q1, q1, sigma))
             if progress is not None:
                 progress({"q0": n0, "q1": n1, "lri_triples": triples, "found": found})
 
 
+def _representative_triples(q0: FinSetObj, q1: FinSetObj
+                            ) -> Iterator[tuple[tuple, FinMap, FinMap, FinMap]]:
+    """(fibres, l, r, i) for each non-decreasing onto i: Q1 -> Q0, one
+    per composition of |Q1| into |Q0| parts, and each pair of its
+    sections l, r."""
+    n0, n1 = q0.size, q1.size
+    for cuts in itertools.combinations(range(1, n1), n0 - 1):
+        ends = (0, *cuts, n1)
+        fibres = tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:]))
+        i = FinMap(q1, q0, tuple(x for x, fib in enumerate(fibres) for _ in fib))
+        for l_table in itertools.product(*fibres):
+            l = FinMap(q0, q1, l_table)
+            for r_table in itertools.product(*fibres):
+                yield fibres, l, FinMap(q0, q1, r_table), i
+
+
+def _fibre_shuffles(fibres: tuple, labels: tuple) -> Iterator[tuple[int, ...]]:
+    """The tables of the bijections that send the contiguous ``fibres``
+    onto ``labels``, increasing on each fibre: one per coset of the
+    permutations that fix every fibre."""
+    if not fibres:
+        yield ()
+        return
+    for chosen in itertools.combinations(labels, len(fibres[0])):
+        rest = tuple(v for v in labels if v not in chosen)
+        for tail in _fibre_shuffles(fibres[1:], rest):
+            yield chosen + tail
+
+
+def _relabel(data: CoCategoryData, sigma: FinMap) -> CoCategoryData:
+    """Transport a structure along a bijection sigma of Q1: l' = sigma.l,
+    r' = sigma.r, i' = i.sigma^-1, canonical witnesses for (l', r'), and
+    q' = phi.q.sigma^-1, where the apex bijection phi has
+    phi.nu1 = nu1'.sigma and phi.nu2 = nu2'.sigma."""
+    back = inverse(sigma)
+    l, r = compose(data.l, sigma), compose(data.r, sigma)
+    double, triple = double_and_triple(FINSET, l, r)
+    old1, old2 = data.double.injections
+    nu1, nu2 = double.injections
+    phi = _fill_copair_table(data.double.apex.size, old1.table, old2.table,
+                             compose(sigma, nu1).table, compose(sigma, nu2).table)
+    q = FinMap(data.q1, double.apex, tuple(phi[w] for w in compose(back, data.q).table))
+    return CoCategoryData(data.q0, data.q1, l, r, compose(back, data.i), q, double, triple)
+
+
 def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
                   i: FinMap) -> Iterator[CoCategoryData]:
+    """Every q completing (l, r, i) to a co-category.  The axioms pin q
+    on the images of l and r, the counit axioms hold pointwise, and
+    only co-associativity is tested per candidate."""
     n1 = q1.size
-    double, triple = double_and_triple(FINSET, l, r)
+    double = pushout(r, l)
     nu1, nu2 = (m.table for m in double.injections)
-    t1, t2, t3 = triple.injections
     apex = double.apex.size
-    j1 = copair(double, t1, t2).table
-    kappa = copair(double, t2, t3).table
     li = tuple(l.table[i.table[x]] for x in range(n1))
     ri = tuple(r.table[i.table[x]] for x in range(n1))
     idx = tuple(range(n1))
@@ -497,7 +533,14 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     # either side, so each entry ranges only over such apex elements
     options = [[w for w in (range(apex) if base[z] is None else (base[z],))
                 if fold_left[w] == z == fold_right[w]] for z in range(n1)]
+    if not all(options):
+        return
 
+    # only now is co-associativity worth the triple pushout
+    triple = triple_pushout(FINSET, double)
+    t1, t2, t3 = triple.injections
+    j1 = copair(double, t1, t2).table
+    kappa = copair(double, t2, t3).table
     t1t, t3t = t1.table, t3.table
     for qt in itertools.product(*options):
         q_then_j1 = tuple(j1[qt[x]] for x in range(n1))

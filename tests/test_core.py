@@ -23,7 +23,6 @@ from cocat.finset import (
     FinSetObj,
     cokernel_pair_cocategory,
     compose,
-    discrete_cocategory,
     identity,
     is_mono,
     pushout,
@@ -46,7 +45,7 @@ class TestAxioms:
     def test_discrete(self):
         # Q0 = Q1 = X, all structure maps the identity up to the
         # collapsed pushout
-        data = discrete_cocategory(FinSetObj(3))
+        data = cokernel_pair_cocategory(identity(FinSetObj(3)))
         assert data.q1.size == 3
         assert data.l == data.r == identity(FinSetObj(3))
         assert check_cocategory(FINSET, data).ok

@@ -6,6 +6,7 @@ and the colax correspondence."""
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from cocat.finset import (
     FinMap,
     FinSetObj,
     Subobject,
+    _q_candidates,
+    _representative_triples,
     classifying_map,
     cokernel_pair_cocategory,
     colax_maps,
@@ -260,6 +263,25 @@ def _naive_count(n0, n1):
     return count
 
 
+def _surjection_oracle(max_q0, max_q1):
+    """Every co-category with 1 <= |Q0| <= max_q0 and 1 <= |Q1| <= max_q1,
+    searched under every onto i (no relabelling): each pair of sections
+    l, r of i, completed by ``_q_candidates``."""
+    for n0 in range(1, max_q0 + 1):
+        for n1 in range(1, max_q1 + 1):
+            q0, q1 = FinSetObj(n0), FinSetObj(n1)
+            for i_table in itertools.product(range(n0), repeat=n1):
+                fibers = [tuple(y for y in range(n1) if i_table[y] == x)
+                          for x in range(n0)]
+                if not all(fibers):
+                    continue
+                i = FinMap(q1, q0, i_table)
+                for l_table in itertools.product(*fibers):
+                    l = FinMap(q0, q1, l_table)
+                    for r_table in itertools.product(*fibers):
+                        yield from _q_candidates(q0, q1, l, FinMap(q0, q1, r_table), i)
+
+
 class TestEnumeration:
     def test_bounds_1_1(self):
         assert sum(1 for _ in enumerate_cocategories(1, 1)) == 1
@@ -347,6 +369,41 @@ class TestEnumeration:
         list(enumerate_cocategories(1, 2, progress=blocks.append))
         assert [(b["q0"], b["q1"]) for b in blocks] == [(1, 1), (1, 2)]
         assert sum(b["found"] for b in blocks) == 3
+
+    def test_progress_counts_representative_triples(self):
+        # one non-decreasing i per composition (a, b) of |Q1|, with
+        # (a b)^2 pairs of sections each
+        blocks = []
+        list(enumerate_cocategories(2, 4, progress=blocks.append))
+        triples = {(b["q0"], b["q1"]): b["lri_triples"] for b in blocks}
+        for n1 in range(1, 5):
+            assert triples[(2, n1)] == sum((a * (n1 - a)) ** 2 for a in range(1, n1))
+
+    def test_same_structures_as_surjection_oracle(self):
+        assert Counter(enumerate_cocategories(3, 5)) == Counter(_surjection_oracle(3, 5))
+
+    def test_witnesses_are_canonical(self):
+        for data in enumerate_cocategories(2, 4):
+            assert (data.double, data.triple) == double_and_triple(FINSET, data.l, data.r)
+
+    def test_representatives_past_the_cli_cap(self):
+        # each representative stands for its orbit under relabelling
+        # Q1; the four flags are invariant under relabelling, so this
+        # checks all 66,503 structures within (4, 8)
+        total = expected = 0
+        for n0 in range(1, 5):
+            for n1 in range(1, 9):
+                s = 2 * n0 - n1
+                expected += math.comb(n0, s) * math.factorial(n1) if 0 <= s <= n0 else 0
+                q0, q1 = FinSetObj(n0), FinSetObj(n1)
+                for fibres, l, r, i in _representative_triples(q0, q1):
+                    orbit = math.factorial(n1) // math.prod(
+                        math.factorial(len(fib)) for fib in fibres)
+                    for data in _q_candidates(q0, q1, l, r, i):
+                        total += orbit
+                        assert classify(FINSET, data).is_coequivalence
+                        assert verify_proposition(data).ok
+        assert total == expected == 66_503
 
 
 class TestUniversal:
