@@ -23,7 +23,7 @@ against the mirror-image axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     CategoryCapabilities,
@@ -45,10 +45,13 @@ from .intmatrix import (
     IntMatrix,
     Lattice,
     cokernel,
+    flatten,
     hstack,
     kernel_basis,
-    solve_affine,
+    kron,
+    solve,
     solve_matrix,
+    unflatten,
     vstack,
     _hnf,
 )
@@ -213,24 +216,23 @@ def _copair_matrix(witness: PushoutWitness, u: IntMatrix, v: IntMatrix) -> IntMa
     return hstack(u, v).select_cols(witness.payload["kept"])
 
 
-def coinverse_residual(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
-                       i: IntMatrix, q: IntMatrix) -> Callable[[IntMatrix], list[int]]:
+def coinverse_system(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
+                     i: IntMatrix, q: IntMatrix) -> tuple[IntMatrix, list[int]]:
     """The four co-inverse identities s.l = r, s.r = l, [1,s].q = l.i and
-    [s,1].q = r.i as one affine residual in the matrix of s, flattened
-    row by row; ``double`` is the pushout witness q lands in."""
+    [s,1].q = r.i as one integer system ``matrix @ flatten(s) = rhs``;
+    ``double`` is the pushout witness q lands in.
+
+    Row by row, a.s.b flattens to ``kron(a, b^T)`` applied to
+    ``flatten(s)``, and through the witness [u, v].q = u.qa + v.qb, where
+    qa and qb are q read at the kept generators of each summand.
+    """
     eye = IntMatrix.identity(l.rows)
-    li = l @ i
-    ri = r @ i
-
-    def residual(s: IntMatrix) -> list[int]:
-        out: list[int] = []
-        for m in (s @ l - r, s @ r - l,
-                  _copair_matrix(double, eye, s) @ q - li,
-                  _copair_matrix(double, s, eye) @ q - ri):
-            out.extend(x for row in m.data for x in row)
-        return out
-
-    return residual
+    zero = IntMatrix.zeros(l.rows, l.rows)
+    qa = _copair_matrix(double, eye, zero) @ q
+    qb = _copair_matrix(double, zero, eye) @ q
+    matrix = vstack(*(kron(eye, m.transpose()) for m in (l, r, qb, qa)))
+    rhs = flatten(r) + flatten(l) + flatten(l @ i - qa) + flatten(r @ i - qb)
+    return matrix, rhs
 
 
 class AbGp(CategoryCapabilities):
@@ -313,17 +315,18 @@ class AbGp(CategoryCapabilities):
 
     def solve_coinverse(self, data: CoCategoryData) -> Optional[AbMap]:
         """Solve the four co-inverse identities as one integer linear
-        system in the entries of s.  Needs free groups so that equality
-        is strict; returns None exactly when the system is inconsistent.
+        system in the entries of s (:func:`coinverse_system`).  Needs
+        free groups so that equality is strict; returns None exactly
+        when the system is inconsistent.
         """
         if not (data.q0.is_free and data.q1.is_free and data.double.apex.is_free):
             raise UnsupportedCapability("co-inverse solving needs free groups")
-        residual = coinverse_residual(data.double, data.l.matrix, data.r.matrix,
-                                      data.i.matrix, data.q.matrix)
-        sol = solve_affine(lambda mats: residual(*mats), [data.q1.rank])
+        sol = solve(*coinverse_system(data.double, data.l.matrix, data.r.matrix,
+                                      data.i.matrix, data.q.matrix))
         if sol is None:
             return None
-        return AbMap(data.q1, data.q1, sol[0])
+        n = data.q1.rank
+        return AbMap(data.q1, data.q1, unflatten(sol, n, n))
 
 
 ABGP = AbGp()

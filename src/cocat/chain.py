@@ -24,6 +24,7 @@ The module also hosts three showpieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -36,8 +37,9 @@ from .core import (
     UnsupportedCapability,
     double_and_triple,
 )
-from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf, solve_affine
-from .abgp import ABGP, AbMap, FgAbGroup, coinverse_residual, free_group
+from .intmatrix import (IntMatrix, cokernel, diagonal, hstack, invert_unimodular, kron, snf,
+                        solve, unflatten, vstack)
+from .abgp import ABGP, AbMap, FgAbGroup, coinverse_system, free_group
 from .fincat import FinCategory, FunctorData
 
 
@@ -206,28 +208,37 @@ class Ch(CategoryCapabilities):
         return True, None
 
     def solve_coinverse(self, data: CoCategoryData) -> Optional[ChainMap]:
-        """One integer linear system over all degrees at once: the four
-        co-inverse identities in each degree (``abgp.coinverse_residual``)
-        plus the boundary-commutation squares."""
+        """One integer linear system over all degrees at once, unknowns
+        degree-major: the four co-inverse identities of each degree
+        (``abgp.coinverse_system``) on the diagonal, then the
+        boundary-commutation squares s_{d-1}.diff(d) = diff(d).s_d."""
         if data.double.payload is None or "degrees" not in data.double.payload:
             raise UnsupportedCapability("double witness lacks degreewise bookkeeping")
         q1 = data.q1
-        degreewise = [coinverse_residual(*parts) for parts in zip(
-            data.double.payload["degrees"], data.l.mats, data.r.mats, data.i.mats, data.q.mats)]
+        offsets = [0, *accumulate(n * n for n in q1.ranks)]
 
-        def residual(mats: list[IntMatrix]) -> list[int]:
-            out: list[int] = []
-            for identities, s in zip(degreewise, mats):
-                out.extend(identities(s))
-            for d in range(1, q1.max_degree + 1):
-                m = mats[d - 1] @ q1.diff(d) - q1.diff(d) @ mats[d]
-                out.extend(x for row in m.data for x in row)
-            return out
+        def place(block: IntMatrix, start: int) -> IntMatrix:
+            return hstack(IntMatrix.zeros(block.rows, start), block,
+                          IntMatrix.zeros(block.rows, offsets[-1] - start - block.cols))
 
-        mats = solve_affine(residual, q1.ranks)
-        if mats is None:
+        blocks: list[IntMatrix] = []
+        rhs: list[int] = []
+        for start, parts in zip(offsets, zip(data.double.payload["degrees"], data.l.mats,
+                                             data.r.mats, data.i.mats, data.q.mats)):
+            matrix, b = coinverse_system(*parts)
+            blocks.append(place(matrix, start))
+            rhs.extend(b)
+        for d in range(1, q1.max_degree + 1):
+            bd = q1.diff(d)
+            square = hstack(kron(IntMatrix.identity(q1.ranks[d - 1]), bd.transpose()),
+                            -kron(bd, IntMatrix.identity(q1.ranks[d])))
+            blocks.append(place(square, offsets[d - 1]))
+            rhs.extend([0] * square.rows)
+        sol = solve(vstack(*blocks), rhs)
+        if sol is None:
             return None
-        return ChainMap(q1, q1, tuple(mats))
+        return ChainMap(q1, q1, tuple(unflatten(sol[offsets[d]:offsets[d + 1]], n, n)
+                                      for d, n in enumerate(q1.ranks)))
 
 
 CH = Ch()

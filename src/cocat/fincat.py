@@ -123,14 +123,6 @@ def check_category(c: FinCategory) -> None:
                     raise NonComposable(f"associativity fails at ({f}, {g}, {h})")
 
 
-def validate(c: FinCategory) -> bool:
-    try:
-        check_category(c)
-        return True
-    except NonComposable:
-        return False
-
-
 def terminal_category() -> FinCategory:
     return FinCategory(1, (0,), (0,), (0,), ((0,),))
 

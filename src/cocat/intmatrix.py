@@ -23,7 +23,7 @@ its diagonal or its transforms: :func:`cokernel`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,27 @@ def vstack(*ms: IntMatrix) -> IntMatrix:
                      tuple(r for m in ms for r in m.data))
 
 
+def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Kronecker product: entry ``((i, k), (j, l))`` is ``a[i][j] * b[k][l]``."""
+    return IntMatrix(a.rows * b.rows, a.cols * b.cols,
+                     tuple(tuple(x * y for x in ra for y in rb)
+                           for ra in a.data for rb in b.data))
+
+
+def flatten(m: IntMatrix) -> list[int]:
+    """The entries row by row, so that ``flatten(a @ x @ b)`` is
+    ``kron(a, b.transpose()).apply(flatten(x))``."""
+    return [x for row in m.data for x in row]
+
+
+def unflatten(vec: Sequence[int], rows: int, cols: int) -> IntMatrix:
+    """The inverse of :func:`flatten`."""
+    if len(vec) != rows * cols:
+        raise ValueError("vector length mismatch")
+    return IntMatrix(rows, cols,
+                     tuple(tuple(vec[p * cols:(p + 1) * cols]) for p in range(rows)))
+
+
 # ---------------------------------------------------------------------------
 # Elementary operations on mutable list-of-list workspaces
 
@@ -232,11 +253,6 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     h, u, _ = _hnf(m)
     zero_cols = [j for j in range(m.cols) if all(h.data[i][j] == 0 for i in range(m.rows))]
     return u.select_cols(zero_cols)
-
-
-def lattice_contains(m: IntMatrix, vec: Sequence[int]) -> bool:
-    """Is the vector in the column lattice of m?"""
-    return vec in Lattice(m)
 
 
 class Lattice:
@@ -399,40 +415,6 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix.from_cols(cols, rows=m.cols)
 
 
-def solve_affine(residual: Callable[[list[IntMatrix]], list[int]],
-                 sizes: Sequence[int]) -> Optional[list[IntMatrix]]:
-    """Integer square matrices ``X_k`` (``sizes[k]`` by ``sizes[k]``)
-    with ``residual([X_0, X_1, ...])`` all zero, or None when there are
-    none.
-
-    ``residual`` must be affine in the matrix entries; its linear part
-    is read off by perturbing the zero matrices one unit entry at a
-    time, and the resulting system is handed to :func:`solve`.
-    """
-    zero = [IntMatrix.zeros(n, n) for n in sizes]
-    base = residual(zero)
-    columns = []
-    for k, n in enumerate(sizes):
-        for p in range(n):
-            for c in range(n):
-                unit = list(zero)
-                unit[k] = IntMatrix.from_rows(
-                    [[1 if (i, j) == (p, c) else 0 for j in range(n)] for i in range(n)],
-                    cols=n)
-                columns.append([x - y for x, y in zip(residual(unit), base)])
-    system = IntMatrix.from_cols(columns, rows=len(base))
-    sol = solve(system, [-x for x in base])
-    if sol is None:
-        return None
-    mats = []
-    pos = 0
-    for n in sizes:
-        mats.append(IntMatrix.from_rows(
-            [list(sol[pos + p * n:pos + (p + 1) * n]) for p in range(n)], cols=n))
-        pos += n * n
-    return mats
-
-
 # ---------------------------------------------------------------------------
 # Determinants and unimodular inverses
 
@@ -461,10 +443,6 @@ def det(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and abs(det(m)) == 1
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:

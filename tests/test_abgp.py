@@ -4,6 +4,8 @@ counterexample with its frozen matrices, and transpose dualisation."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocat.core import (
     CoCategoryData,
@@ -31,6 +33,7 @@ from cocat.abgp import (
     ab_equal,
     ab_identity,
     check_internal_category,
+    coinverse_system,
     free_group,
     group_example_cocategory,
     transpose_dualize,
@@ -38,10 +41,10 @@ from cocat.abgp import (
 )
 from cocat.intmatrix import (
     IntMatrix,
+    Lattice,
     cokernel,
     hstack,
     kernel_basis,
-    lattice_contains,
     vstack,
 )
 
@@ -65,6 +68,47 @@ def _valid_map_out(rng, group, target_rank, bound=2):
         coeffs = [rng.randint(-bound, bound) for _ in range(basis.cols)]
         rows.append(list(basis.apply(coeffs)) if basis.cols else [0] * group.rank)
     return IntMatrix.from_rows(rows, cols=group.rank)
+
+
+def probed_system(residual, sizes):
+    """The (matrix, rhs) of a residual affine in square matrices of the
+    given sizes, read off by evaluating it at the zero matrices and at
+    each unit matrix in turn; an oracle for the written-down systems."""
+    zero = [IntMatrix.zeros(n, n) for n in sizes]
+    base = residual(zero)
+    columns = []
+    for k, n in enumerate(sizes):
+        for p in range(n):
+            for c in range(n):
+                unit = list(zero)
+                unit[k] = IntMatrix.from_rows(
+                    [[int((a, b) == (p, c)) for b in range(n)] for a in range(n)], cols=n)
+                columns.append([x - y for x, y in zip(residual(unit), base)])
+    return IntMatrix.from_cols(columns, rows=len(base)), [-x for x in base]
+
+
+def coinverse_residual(double, l, r, i, q):
+    """The four co-inverse identities evaluated at s, flattened row by
+    row, with [u, v] read off the columns the witness kept."""
+    eye = IntMatrix.identity(l.rows)
+
+    def copair(u, v):
+        return hstack(u, v).select_cols(double.payload["kept"])
+
+    def residual(s):
+        return [x for m in (s @ l - r, s @ r - l,
+                            copair(eye, s) @ q - l @ i,
+                            copair(s, eye) @ q - r @ i)
+                for row in m.data for x in row]
+
+    return residual
+
+
+def _assert_system_matches_probe(data):
+    parts = (data.double, data.l.matrix, data.r.matrix, data.i.matrix, data.q.matrix)
+    residual = coinverse_residual(*parts)
+    probed = probed_system(lambda mats: residual(mats[0]), [data.q1.rank])
+    assert coinverse_system(*parts) == probed
 
 
 class TestGroupsAndMaps:
@@ -183,7 +227,7 @@ class TestPullback:
             for col in range(kernel_basis(stacked).cols):
                 vec = kernel_basis(stacked).col(col)
                 combined = vstack(p1.matrix, p2.matrix)
-                assert lattice_contains(combined, vec)
+                assert vec in Lattice(combined)
 
     def test_presented_source_rejected(self):
         z_mod_2 = FgAbGroup(1, _m([[2]]))
@@ -213,8 +257,8 @@ class TestGroupExample:
         assert witness["cokernel_invariant_factors"] == (0,)
         # independent route: the edge generator is not in the span
         stacked = hstack(data.l.matrix, data.r.matrix)
-        assert not lattice_contains(stacked, (0, 1, 0))
-        assert lattice_contains(stacked, (1, 0, 0))
+        assert (0, 1, 0) not in Lattice(stacked)
+        assert (1, 0, 0) in Lattice(stacked)
 
     def test_uncovered_double_apex_rejected(self):
         d = group_example_cocategory()
@@ -268,6 +312,25 @@ class TestGroupExample:
         assert rep.ok
 
 
+class TestCoinverseSystem:
+    def test_group_example(self):
+        _assert_system_matches_probe(group_example_cocategory())
+
+    @given(st.integers(0, 2).flatmap(lambda k: st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                           min_size=n, max_size=n).map(
+            lambda rows: IntMatrix.from_rows(rows, cols=k)))))
+    @settings(max_examples=40, deadline=None)
+    def test_cokernel_pairs_of_free_groups(self, m):
+        # Z^k -> Z^n pushed out along itself; torsion in Q1 does not
+        # matter to the system, only to the solver, which must find the
+        # swap of the two summands whenever everything is free
+        data = cokernel_pair(ABGP, AbMap(free_group(m.cols), free_group(m.rows), m))
+        _assert_system_matches_probe(data)
+        if data.q1.is_free and data.double.apex.is_free:
+            assert ABGP.solve_coinverse(data) is not None
+
+
 class TestJointEpiAgainstBruteForce:
     def test_matches_generator_membership(self):
         # jointly epi iff every standard generator lies in the span of
@@ -283,7 +346,7 @@ class TestJointEpiAgainstBruteForce:
             status, _ = ABGP.joint_epi_status(maps)
             stacked = hstack(*(m.matrix for m in maps))
             brute = all(
-                lattice_contains(stacked, tuple(1 if i == j else 0 for i in range(k)))
+                tuple(1 if i == j else 0 for i in range(k)) in Lattice(stacked)
                 for j in range(k))
             assert status == brute
 

@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from cocat.core import NotFree, TypeMismatch, check_cocategory, classify, find_coinverse
+from cocat import chain as chain_module
+from cocat.core import (
+    NotFree,
+    TypeMismatch,
+    check_cocategory,
+    classify,
+    cokernel_pair,
+    find_coinverse,
+)
 from cocat.abgp import ABGP, check_internal_category, group_example_cocategory, transpose_dualize
 from cocat.chain import (
     CH,
@@ -35,7 +43,9 @@ from cocat.fincat import (
     interval_cocategory,
     terminal_category,
 )
-from cocat.intmatrix import IntMatrix, kernel_basis
+from cocat.intmatrix import IntMatrix, kernel_basis, solve
+
+from test_abgp import coinverse_residual, probed_system
 
 
 def _m(rows, cols=None):
@@ -134,6 +144,77 @@ class TestChainExample:
         cls = classify(CH, chain_example_cocategory())
         assert (cls.is_cocategory, cls.is_copreorder,
                 cls.is_cogroupoid, cls.is_coequivalence) == (True, False, True, False)
+
+
+def _chain_residual(data):
+    """Every degree's co-inverse identities, then the boundary squares
+    s_{d-1}.diff(d) - diff(d).s_d, at a family of degreewise matrices."""
+    q1 = data.q1
+    degreewise = [coinverse_residual(*parts) for parts in zip(
+        data.double.payload["degrees"], data.l.mats, data.r.mats, data.i.mats, data.q.mats)]
+
+    def residual(mats):
+        out = [x for identities, s in zip(degreewise, mats) for x in identities(s)]
+        for d in range(1, q1.max_degree + 1):
+            m = mats[d - 1] @ q1.diff(d) - q1.diff(d) @ mats[d]
+            out.extend(x for row in m.data for x in row)
+        return out
+
+    return residual
+
+
+def _solved_system(monkeypatch, data):
+    """The (matrix, rhs) that ``Ch.solve_coinverse`` hands to ``solve``."""
+    seen = []
+
+    def spy(matrix, rhs):
+        seen.append((matrix, list(rhs)))
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(chain_module, "solve", spy)
+    CH.solve_coinverse(data)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def _zero_cokernel_pair(x):
+    """The cokernel pair of 0 -> x: Q1 is x + x, l and r the summands."""
+    z = zero_complex(len(x.ranks))
+    return cokernel_pair(CH, ChainMap(z, x, tuple(IntMatrix.zeros(n, 0) for n in x.ranks)))
+
+
+# ranks (0, 1, 2): degree 0 is empty, so Q1 of its cokernel pair is (0, 2, 4)
+_EMPTY_BOTTOM = ChainComplex((0, 1, 2), (IntMatrix.zeros(0, 1), _m([[1, -1]])))
+
+
+class TestCoinverseSystem:
+    @pytest.mark.parametrize("build", [
+        chain_example_cocategory,
+        lambda: _zero_cokernel_pair(
+            ChainComplex((1, 2, 1), (_m([[1, 2]]), _m([[2], [-1]])))),
+        lambda: _zero_cokernel_pair(ChainComplex((2, 2), (_m([[1, 2], [0, 1]]),))),
+        lambda: _zero_cokernel_pair(_EMPTY_BOTTOM),
+    ])
+    def test_matches_probed_residual(self, monkeypatch, build):
+        data = build()
+        probed = probed_system(_chain_residual(data), data.q1.ranks)
+        assert _solved_system(monkeypatch, data) == probed
+
+    def test_random_complexes(self, monkeypatch):
+        rng = random.Random(5)
+        for _ in range(10):
+            data = _zero_cokernel_pair(_random_complex(rng, max_rank=2))
+            probed = probed_system(_chain_residual(data), data.q1.ranks)
+            assert _solved_system(monkeypatch, data) == probed
+
+    def test_empty_degree_coequivalence(self):
+        data = _zero_cokernel_pair(_EMPTY_BOTTOM)
+        assert data.q1.ranks == (0, 2, 4)
+        cls = classify(CH, data)
+        assert (cls.is_cocategory, cls.is_copreorder,
+                cls.is_cogroupoid, cls.is_coequivalence) == (True, True, True, True)
+        assert cls.coinverse is not None
+        assert [m.rows for m in cls.coinverse.mats] == [0, 2, 4]
 
 
 class TestTotalSpace:

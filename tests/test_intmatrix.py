@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 
 from cocat.intmatrix import (
     IntMatrix,
+    Lattice,
     cokernel,
     det,
     diagonal,
     hnf,
     hstack,
     invariant_factors,
+    flatten,
     invert_unimodular,
-    is_unimodular,
     kernel_basis,
-    lattice_contains,
+    kron,
     rank,
     snf,
     solve,
+    unflatten,
     vstack,
 )
 
@@ -80,18 +82,18 @@ class TestHermite:
     @settings(max_examples=100, deadline=None)
     def test_membership_of_columns(self, m):
         for j in range(m.cols):
-            assert lattice_contains(m, m.col(j))
+            assert m.col(j) in Lattice(m)
         # random combination is a member; shifted by a unit vector it
         # may or may not be, but membership must match brute search on
         # tiny lattices
         if m.rows:
             combo = [sum(2 * m.data[i][j] for j in range(m.cols)) for i in range(m.rows)]
-            assert lattice_contains(m, combo)
+            assert combo in Lattice(m)
 
     def test_membership_negative(self):
         m = _mat([[2, 0], [0, 2]])
-        assert not lattice_contains(m, (1, 0))
-        assert lattice_contains(m, (2, -4))
+        assert (1, 0) not in Lattice(m)
+        assert (2, -4) in Lattice(m)
 
 
 class TestSmith:
@@ -153,7 +155,7 @@ class TestSolve:
     def test_none_certified_by_membership(self, m, b):
         b = tuple((b + [0] * m.rows)[: m.rows])
         sol = solve(m, b)
-        assert (sol is not None) == lattice_contains(m, b)
+        assert (sol is not None) == (b in Lattice(m))
 
     @given(matrices, st.lists(st.integers(-5, 5), min_size=0, max_size=4))
     @settings(max_examples=100, deadline=None)
@@ -219,5 +221,24 @@ class TestArithmetic:
             assert det(m) == expected
 
     def test_is_unimodular(self):
-        assert is_unimodular(IntMatrix.identity(4))
-        assert not is_unimodular(_mat([[1, 0], [0, 2]]))
+        assert invert_unimodular(IntMatrix.identity(4)) == IntMatrix.identity(4)
+        with pytest.raises(ValueError):
+            invert_unimodular(_mat([[1, 0], [0, 2]]))
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_kron_flattens_products(self, p, q, r, t, rng):
+        def draw(rows, cols):
+            return IntMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+        a, x, b = draw(p, q), draw(q, r), draw(r, t)
+        assert flatten(a @ x @ b) == list(kron(a, b.transpose()).apply(flatten(x)))
+
+    @given(matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_unflatten_inverts_flatten(self, m):
+        assert unflatten(flatten(m), m.rows, m.cols) == m
+        with pytest.raises(ValueError):
+            unflatten(flatten(m) + [0], m.rows, m.cols)
