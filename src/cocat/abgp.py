@@ -4,7 +4,7 @@ Groups are presentations (generator count plus a relation matrix whose
 columns are relators), morphisms are integer matrices that carry the
 domain relators into the codomain relation lattice.  Equality of
 parallel maps is decided modulo that lattice through Hermite-form
-membership, so everything stays exact.
+membership, which into a free group is matrix equality.
 
 Pushouts are presented on the disjoint sum of generators and then
 simplified by eliminating generators that occur with coefficient +-1
@@ -148,8 +148,9 @@ def ab_compose(f: AbMap, g: AbMap) -> AbMap:
 def ab_equal(f: AbMap, g: AbMap) -> bool:
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    diff = f.matrix - g.matrix
-    return f.cod.lattice.contains_all_columns(diff)
+    if f.cod.is_free:
+        return f.matrix == g.matrix
+    return f.cod.lattice.contains_all_columns(f.matrix - g.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ class FinMap:
     def __post_init__(self):
         if len(self.table) != self.dom.size:
             raise TypeMismatch("table length does not match domain size")
-        if any(not (0 <= v < self.cod.size) for v in self.table):
+        if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
             raise TypeMismatch("table entry out of codomain range")
 
     def __call__(self, x: int) -> int:

@@ -14,6 +14,13 @@ Conventions:
 * ``snf`` returns ``(D, U, V)`` with ``D = U @ M @ V`` diagonal,
   non-negative, each entry dividing the next.
 
+Products are row-by-column sums over ``zip``: ``A @ B`` takes the
+columns of ``B`` once with ``zip(*B.data)`` and each entry is
+``sum(map(mul, row, col))``.  ``zip`` of no rows loses the column
+count, so the zero-row shapes (``transpose`` of a matrix with no rows,
+a product with inner dimension 0) are handled explicitly as zero
+matrices of the right shape.
+
 Integer systems ``M @ x = b`` are solved only against the Hermite
 form (:class:`Lattice`); the Smith form serves the callers that need
 its diagonal or its transforms: :func:`cokernel`,
@@ -23,6 +30,7 @@ its diagonal or its transforms: :func:`cokernel`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -35,17 +43,17 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.data) != self.rows or any(len(r) != self.cols for r in self.data):
+        if len(self.data) != self.rows or not set(map(len, self.data)) <= {self.cols}:
             raise ValueError("ragged or mismatched matrix data")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = tuple(tuple(map(int, r)) for r in rows)
         if cols is None:
             cols = len(rows[0]) if rows else 0
-        return cls(len(rows), cols, tuple(rows))
+        return cls(len(rows), cols, rows)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -78,9 +86,9 @@ class IntMatrix:
         return IntMatrix(len(idx), self.cols, tuple(self.data[i] for i in idx))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.data[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.data for x in r)
@@ -90,9 +98,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ot = other.transpose().data
+        if not other.rows:
+            return IntMatrix.zeros(self.rows, other.cols)
+        cols = tuple(zip(*other.data))
         return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
+                         tuple(tuple(sum(map(mul, row, col)) for col in cols)
                                for row in self.data))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -103,7 +113,11 @@ class IntMatrix:
                                for r1, r2 in zip(self.data, other.data)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        return IntMatrix(self.rows, self.cols,
+                         tuple(tuple(map(sub, r1, r2))
+                               for r1, r2 in zip(self.data, other.data)))
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols,
@@ -112,7 +126,7 @@ class IntMatrix:
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
+        return tuple(sum(map(mul, row, vec)) for row in self.data)
 
 
 def hstack(*ms: IntMatrix) -> IntMatrix:
@@ -416,33 +430,7 @@ def solve_matrix(m: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# Determinants and unimodular inverses
-
-
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+# Unimodular inverses
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:

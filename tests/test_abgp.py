@@ -149,6 +149,41 @@ class TestGroupsAndMaps:
             assert ab_compose(f, g).matrix == g.matrix @ f.matrix
 
 
+class TestAbEqual:
+    """Free codomains compare matrices; torsion codomains compare
+    modulo the relation lattice."""
+
+    def test_free_codomain_is_matrix_equality(self):
+        z2 = free_group(2)
+        f = AbMap(z2, z2, _m([[1, 2], [0, -1]]))
+        assert ab_equal(f, AbMap(z2, z2, _m([[1, 2], [0, -1]])))
+        assert not ab_equal(f, AbMap(z2, z2, _m([[1, 2], [0, 1]])))
+        z_mod_2 = FgAbGroup(1, _m([[2]]))
+        zero = AbMap(z_mod_2, z2, _m([[0], [0]]))
+        assert ab_equal(zero, AbMap(z_mod_2, z2, IntMatrix.zeros(2, 1)))
+
+    def test_torsion_codomain_matrices_differing_by_two(self):
+        z_mod_2 = FgAbGroup(1, _m([[2]]))
+        z2 = free_group(2)
+        f = AbMap(z2, z_mod_2, _m([[1, 0]]))
+        assert ab_equal(f, AbMap(z2, z_mod_2, _m([[3, -2]])))
+        assert not ab_equal(f, AbMap(z2, z_mod_2, _m([[1, 1]])))
+
+    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.booleans(),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lattice_membership(self, n, k, nrel, shift, rng):
+        cod = FgAbGroup(n, _rand_matrix(rng, n, nrel))
+        dom = free_group(k)
+        a = _rand_matrix(rng, n, k)
+        # half the time move a by relators, so that equal pairs are drawn
+        b = a + cod.relations @ _rand_matrix(rng, cod.relations.cols, k) if shift \
+            else _rand_matrix(rng, n, k, bound=1)
+        diff = [[a.data[i][j] - b.data[i][j] for i in range(n)] for j in range(k)]
+        assert ab_equal(AbMap(dom, cod, a), AbMap(dom, cod, b)) == all(
+            col in Lattice(cod.relations) for col in diff)
+
+
 class TestPushout:
     def test_coproduct_of_lines(self):
         zero = free_group(0)

@@ -17,7 +17,15 @@ from cocat.core import (
     find_coinverse,
 )
 from cocat import abgp, chain, fincat, finset
-from cocat.intmatrix import IntMatrix, det, diagonal, hnf, kernel_basis, snf
+from cocat.intmatrix import IntMatrix, diagonal, hnf, invert_unimodular, kernel_basis, snf
+
+
+def _unimodular(u: IntMatrix) -> bool:
+    """u is unimodular exactly when some integer v has u @ v = I."""
+    try:
+        return u @ invert_unimodular(u) == IntMatrix.identity(u.rows)
+    except ValueError:
+        return False
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -180,12 +188,12 @@ def test_criterion_8_engine_correctness():
         m = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols)
         h, u = hnf(m)
-        if m @ u != h or (cols and abs(det(u)) != 1):
+        if m @ u != h or not _unimodular(u):
             failures += 1
         d, uu, vv = snf(m)
         if (uu @ m) @ vv != d:
             failures += 1
-        if (rows and abs(det(uu)) != 1) or (cols and abs(det(vv)) != 1):
+        if not (_unimodular(uu) and _unimodular(vv)):
             failures += 1
         diag = diagonal(d)
         for a, b in zip(diag, diag[1:]):

@@ -70,6 +70,26 @@ small_map = st.tuples(sizes, st.integers(1, 3)).flatmap(
 )
 
 
+class TestFinMap:
+    def test_out_of_range_entries_rejected(self):
+        three = FinSetObj(3)
+        for bad in (-1, 3):
+            with pytest.raises(TypeMismatch):
+                FinMap(FinSetObj(2), three, (0, bad))
+            with pytest.raises(TypeMismatch):
+                FinMap(FinSetObj(2), three, (bad, 0))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(TypeMismatch):
+            FinMap(FinSetObj(2), FinSetObj(3), (0,))
+        with pytest.raises(TypeMismatch):
+            FinMap(FinSetObj(0), FinSetObj(3), (0,))
+
+    def test_empty_table_on_empty_domain(self):
+        for n in (0, 2):
+            assert FinMap(FinSetObj(0), FinSetObj(n), ()).table == ()
+
+
 class TestPushout:
     def test_glue_one_point(self):
         s = FinSetObj(1)
