@@ -23,6 +23,8 @@ against the mirror-image axioms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import (
@@ -49,9 +51,7 @@ from .intmatrix import (
     hstack,
     kernel_basis,
     kron,
-    solve,
     solve_matrix,
-    unflatten,
     vstack,
     _hnf,
 )
@@ -99,6 +99,8 @@ class FgAbGroup:
         return tuple(a - b for a, b in zip(x, y)) in self.lattice
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, FgAbGroup)
                 and self.rank == other.rank
                 and self.relations == other.relations)
@@ -112,7 +114,9 @@ class FgAbGroup:
         return f"FgAbGroup(rank={self.rank}, relations={self.relations.cols})"
 
 
+@lru_cache(maxsize=None)
 def free_group(rank: int) -> FgAbGroup:
+    """The free group of the given rank, one shared instance per rank."""
     return FgAbGroup(rank)
 
 
@@ -217,22 +221,41 @@ def _copair_matrix(witness: PushoutWitness, u: IntMatrix, v: IntMatrix) -> IntMa
     return hstack(u, v).select_cols(witness.payload["kept"])
 
 
-def coinverse_system(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
-                     i: IntMatrix, q: IntMatrix) -> tuple[IntMatrix, list[int]]:
+def coinverse_equation(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
+                       i: IntMatrix, q: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The four co-inverse identities s.l = r, s.r = l, [1,s].q = l.i and
-    [s,1].q = r.i as one integer system ``matrix @ flatten(s) = rhs``;
+    [s,1].q = r.i as one matrix equation ``s @ A = B``, with
+    ``A = [l | r | q_b | q_a]`` and ``B = [r | l | l.i - q_a | r.i - q_b]``;
     ``double`` is the pushout witness q lands in.
 
-    Row by row, a.s.b flattens to ``kron(a, b^T)`` applied to
-    ``flatten(s)``, and through the witness [u, v].q = u.qa + v.qb, where
-    qa and qb are q read at the kept generators of each summand.
+    Through the witness [u, v].q = u.qa + v.qb, where qa and qb are q
+    read at the kept generators of each summand, so [1,s].q = l.i is
+    s.qb = l.i - qa and [s,1].q = r.i is s.qa = r.i - qb.
     """
     eye = IntMatrix.identity(l.rows)
     zero = IntMatrix.zeros(l.rows, l.rows)
     qa = _copair_matrix(double, eye, zero) @ q
     qb = _copair_matrix(double, zero, eye) @ q
-    matrix = vstack(*(kron(eye, m.transpose()) for m in (l, r, qb, qa)))
-    rhs = flatten(r) + flatten(l) + flatten(l @ i - qa) + flatten(r @ i - qb)
+    return hstack(l, r, qb, qa), hstack(r, l, l @ i - qa, r @ i - qb)
+
+
+def coinverse_system(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
+                     i: IntMatrix, q: IntMatrix) -> tuple[IntMatrix, list[int]]:
+    """:func:`coinverse_equation` ``s @ A = B`` as one integer system
+    ``matrix @ flatten(s) = rhs`` in all entries of s at once.  ``abgp``
+    solves ``s @ A = B`` row by row instead; this form is for hosts that
+    join further equations in s (``chain`` adds the boundary squares).
+
+    Row by row, s.a flattens to ``kron(I, a^T)`` applied to
+    ``flatten(s)``; the rows come block by block, for the column blocks
+    l, r, q_b and q_a of A in turn.
+    """
+    a, b = coinverse_equation(double, l, r, i, q)
+    eye = IntMatrix.identity(l.rows)
+    ends = list(accumulate((l.cols, r.cols, q.cols, q.cols)))
+    blocks = [range(start, end) for start, end in zip([0] + ends, ends)]
+    matrix = vstack(*(kron(eye, a.select_cols(cols).transpose()) for cols in blocks))
+    rhs = [x for cols in blocks for x in flatten(b.select_cols(cols))]
     return matrix, rhs
 
 
@@ -315,19 +338,19 @@ class AbGp(CategoryCapabilities):
         return True, None
 
     def solve_coinverse(self, data: CoCategoryData) -> Optional[AbMap]:
-        """Solve the four co-inverse identities as one integer linear
-        system in the entries of s (:func:`coinverse_system`).  Needs
-        free groups so that equality is strict; returns None exactly
-        when the system is inconsistent.
+        """Solve ``s @ A = B`` (:func:`coinverse_equation`) row by row:
+        row p of s solves ``A^T @ x = B[p]^T``, so one Hermite form of
+        A^T serves every row.  Needs free groups so that equality is
+        strict; returns None exactly when some row has no solution.
         """
         if not (data.q0.is_free and data.q1.is_free and data.double.apex.is_free):
             raise UnsupportedCapability("co-inverse solving needs free groups")
-        sol = solve(*coinverse_system(data.double, data.l.matrix, data.r.matrix,
-                                      data.i.matrix, data.q.matrix))
-        if sol is None:
+        a, b = coinverse_equation(data.double, data.l.matrix, data.r.matrix,
+                                  data.i.matrix, data.q.matrix)
+        s_transposed = solve_matrix(a.transpose(), b.transpose())
+        if s_transposed is None:
             return None
-        n = data.q1.rank
-        return AbMap(data.q1, data.q1, unflatten(sol, n, n))
+        return AbMap(data.q1, data.q1, s_transposed.transpose())
 
 
 ABGP = AbGp()

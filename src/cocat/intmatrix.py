@@ -14,23 +14,26 @@ Conventions:
 * ``snf`` returns ``(D, U, V)`` with ``D = U @ M @ V`` diagonal,
   non-negative, each entry dividing the next.
 
-Products are row-by-column sums over ``zip``: ``A @ B`` takes the
-columns of ``B`` once with ``zip(*B.data)`` and each entry is
-``sum(map(mul, row, col))``.  ``zip`` of no rows loses the column
-count, so the zero-row shapes (``transpose`` of a matrix with no rows,
-a product with inner dimension 0) are handled explicitly as zero
-matrices of the right shape.
+Products are row-sparse: row ``i`` of ``A @ B`` is the sum of the rows
+``B[k]`` over the nonzero entries ``A[i][k]``, an entry of +-1 adding
+or subtracting the row without scaling it, and a zero row of ``A``
+giving the zero row.  The integer hosts multiply mostly small matrices
+whose entries are mostly 0 and +-1, which this favours over a dense
+row-by-column sum.
 
 Integer systems ``M @ x = b`` are solved only against the Hermite
-form (:class:`Lattice`); the Smith form serves the callers that need
-its diagonal or its transforms: :func:`cokernel`,
-:func:`invariant_factors` and the truncation of chain complexes.
+form (:class:`Lattice`).  The Smith form has one routine, whose row
+and column operations update the transforms only when asked to:
+:func:`snf` returns ``(D, U, V)`` for the truncation of chain
+complexes, while :func:`cokernel` and :func:`invariant_factors` (the
+joint-epi tests of ``abgp`` and ``chain``) read the diagonal alone and
+skip the transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -86,7 +89,7 @@ class IntMatrix:
         return IntMatrix(len(idx), self.cols, tuple(self.data[i] for i in idx))
 
     def transpose(self) -> "IntMatrix":
-        if not self.rows:
+        if not self.rows:  # zip of no rows would lose the column count
             return IntMatrix.zeros(self.cols, 0)
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)))
 
@@ -98,12 +101,24 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if not other.rows:
-            return IntMatrix.zeros(self.rows, other.cols)
-        cols = tuple(zip(*other.data))
-        return IntMatrix(self.rows, other.cols,
-                         tuple(tuple(sum(map(mul, row, col)) for col in cols)
-                               for row in self.data))
+        # row-sparse (module docstring): sum the rows of ``other`` picked
+        # out by the nonzero entries of each row
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            acc = None
+            for a, o in zip(row, other.data):
+                if a:
+                    if acc is None:
+                        acc = o if a == 1 else tuple([a * y for y in o])
+                    elif a == 1:
+                        acc = tuple(map(add, acc, o))
+                    elif a == -1:
+                        acc = tuple(map(sub, acc, o))
+                    else:
+                        acc = tuple([x + a * y for x, y in zip(acc, o)])
+            out.append(zero if acc is None else acc)
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -308,10 +323,9 @@ class Lattice:
 # Smith normal form
 
 
-def _clear_position(a, u, v, t: int) -> None:
+def _clear_position(rws, cws, t: int) -> None:
+    a = rws[0]
     rows, cols = len(a), len(a[0]) if a else 0
-    rws = [a, u]
-    cws = [a, v]
     while True:
         # choose the smallest nonzero entry of the remaining block as pivot
         best = None
@@ -344,11 +358,10 @@ def _clear_position(a, u, v, t: int) -> None:
             return
 
 
-def _fix_divisibility(a, u, v, k: int) -> None:
+def _fix_divisibility(rws, cws, k: int) -> None:
     # merge diag entries k, k+1 into (gcd, lcm) with a self-contained
     # 2x2 reduction; nothing outside rows/cols {k, k+1} is touched
-    rws = [a, u]
-    cws = [a, v]
+    a = rws[0]
     _col_addmul(cws, k, k + 1, 1)
     while a[k + 1][k] != 0 or a[k][k + 1] != 0:
         if a[k + 1][k] != 0:
@@ -365,32 +378,45 @@ def _fix_divisibility(a, u, v, k: int) -> None:
                 _col_swap(cws, k, k + 1)
 
 
-def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: ``D = U @ m @ V`` with the divisibility chain."""
+def _smith(m: IntMatrix, transforms: bool):
+    """The Smith reduction of m on list workspaces: ``(a, u, v)`` with
+    ``a = u @ m @ v`` diagonal.  Without ``transforms`` the row and
+    column operations touch ``a`` alone and u, v are None."""
     a = [list(r) for r in m.data]
-    u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
-    v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
+    u = v = None
+    rws, cws = [a], [a]
+    if transforms:
+        u = [[1 if i == j else 0 for j in range(m.rows)] for i in range(m.rows)]
+        v = [[1 if i == j else 0 for j in range(m.cols)] for i in range(m.cols)]
+        rws.append(u)
+        cws.append(v)
     n = min(m.rows, m.cols)
     t = 0
     while t < n:
         if all(a[i][j] == 0 for i in range(t, m.rows) for j in range(t, m.cols)):
             break
-        _clear_position(a, u, v, t)
+        _clear_position(rws, cws, t)
         t += 1
     r = t
     for k in range(r):
         if a[k][k] < 0:
-            _row_negate([a, u], k)
+            _row_negate(rws, k)
     changed = True
     while changed:
         changed = False
         for k in range(r - 1):
             if a[k + 1][k + 1] % a[k][k] != 0:
-                _fix_divisibility(a, u, v, k)
+                _fix_divisibility(rws, cws, k)
                 changed = True
         for k in range(r):
             if a[k][k] < 0:
-                _row_negate([a, u], k)
+                _row_negate(rws, k)
+    return a, u, v
+
+
+def snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form: ``D = U @ m @ V`` with the divisibility chain."""
+    a, u, v = _smith(m, transforms=True)
     return (IntMatrix.from_rows(a, m.cols),
             IntMatrix.from_rows(u, m.rows),
             IntMatrix.from_rows(v, m.cols))
@@ -401,15 +427,15 @@ def diagonal(m: IntMatrix) -> tuple[int, ...]:
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    d, _, _ = snf(m)
-    return tuple(x for x in diagonal(d) if x != 0)
+    """The nonzero Smith diagonal, computed without U and V."""
+    a, _, _ = _smith(m, transforms=False)
+    return tuple(a[k][k] for k in range(min(m.rows, m.cols)) if a[k][k] != 0)
 
 
 def cokernel(m: IntMatrix) -> tuple[int, ...]:
     """Nontrivial invariant factors of coker(m) = Z^rows / col-lattice;
     a 0 entry denotes a free Z summand."""
-    d, _, _ = snf(m)
-    diag = [x for x in diagonal(d) if x != 0]
+    diag = invariant_factors(m)
     finite = tuple(x for x in diag if x != 1)
     return finite + (0,) * (m.rows - len(diag))
 

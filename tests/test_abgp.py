@@ -18,6 +18,8 @@ from cocat.core import (
     check_cocategory,
     classify,
     cokernel_pair,
+    coinverse_violation,
+    double_and_triple,
     find_coinverse,
 )
 from cocat.abgp import (
@@ -45,6 +47,7 @@ from cocat.intmatrix import (
     cokernel,
     hstack,
     kernel_basis,
+    solve,
     vstack,
 )
 
@@ -147,6 +150,16 @@ class TestGroupsAndMaps:
             h = AbMap(free_group(c), free_group(d), _rand_matrix(rng, d, c))
             assert ab_compose(ab_compose(f, g), h) == ab_compose(f, ab_compose(g, h))
             assert ab_compose(f, g).matrix == g.matrix @ f.matrix
+
+
+class TestFreeGroupInstances:
+    def test_one_instance_per_rank(self):
+        for n in range(4):
+            assert free_group(n) is free_group(n)
+            assert FgAbGroup(n) == free_group(n)
+            assert free_group(n) == FgAbGroup(n)
+        assert free_group(1) != free_group(2)
+        assert FgAbGroup(1, _m([[2]])) != free_group(1)
 
 
 class TestAbEqual:
@@ -364,6 +377,63 @@ class TestCoinverseSystem:
         _assert_system_matches_probe(data)
         if data.q1.is_free and data.double.apex.is_free:
             assert ABGP.solve_coinverse(data) is not None
+
+
+def _random_free_structure(rng, n0, n1):
+    """Random l, r, i, q of the right shapes over free groups, against
+    pushout(r, l); mostly not a co-category, and None when that pushout
+    has torsion."""
+    q0, q1 = free_group(n0), free_group(n1)
+    l = AbMap(q0, q1, _rand_matrix(rng, n1, n0, bound=1))
+    r = AbMap(q0, q1, _rand_matrix(rng, n1, n0, bound=1))
+    double, triple = double_and_triple(ABGP, l, r)
+    if not double.apex.is_free:
+        return None
+    i = AbMap(q1, q0, _rand_matrix(rng, n0, n1, bound=1))
+    q = AbMap(q1, double.apex, _rand_matrix(rng, double.apex.rank, n1, bound=1))
+    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+
+
+class TestRowWiseSolve:
+    """``AbGp.solve_coinverse`` solves ``s @ A = B`` row by row; the
+    Kronecker system over all entries of s is the oracle."""
+
+    @staticmethod
+    def _agree(data):
+        s = ABGP.solve_coinverse(data)
+        parts = (data.double, data.l.matrix, data.r.matrix, data.i.matrix, data.q.matrix)
+        assert (s is None) == (solve(*coinverse_system(*parts)) is None)
+        if s is not None:
+            assert coinverse_violation(ABGP, data, s) is None
+        return s
+
+    def test_random_free_structures(self):
+        outcomes = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            data = _random_free_structure(rng, rng.randint(0, 2), rng.randint(0, 3))
+            if data is not None:
+                outcomes.add(self._agree(data) is None)
+        assert outcomes == {True, False}
+
+    def test_cokernel_pairs(self):
+        # co-categories whose co-inverse is the swap of the two summands
+        for seed in range(60):
+            rng = random.Random(seed)
+            k, n = rng.randint(0, 2), rng.randint(1, 4)
+            m = _rand_matrix(rng, n, k, bound=2)
+            data = cokernel_pair(ABGP, AbMap(free_group(k), free_group(n), m))
+            if data.q1.is_free and data.double.apex.is_free:
+                assert self._agree(data) is not None
+
+    def test_q1_rank_zero(self):
+        for n0 in range(3):
+            data = _random_free_structure(random.Random(n0), n0, 0)
+            s = self._agree(data)
+            assert s is not None and s.matrix == IntMatrix.zeros(0, 0)
+
+    def test_group_example(self):
+        assert self._agree(group_example_cocategory()).matrix == EXAMPLE_S
 
 
 class TestJointEpiAgainstBruteForce:

@@ -74,6 +74,27 @@ class TestKernels:
         assert a.apply(vec) == tuple(sum(a.data[i][k] * vec[k] for k in range(q))
                                      for i in range(p))
 
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_row_sparse_product_matches_naive_loop(self, p, q, r, data):
+        # the traffic the product is built for: entries mostly 0 and +-1,
+        # some -1 and |a| >= 2, and rows and columns that are all zero
+        entries = st.sampled_from((0, 0, 0, 0, 1, 1, 1, -1, 2, -3))
+
+        def sparse(rows, cols):
+            zero_rows = data.draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows))
+            zero_cols = data.draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols))
+            return IntMatrix.from_rows(
+                [[0 if i in zero_rows or j in zero_cols else data.draw(entries)
+                  for j in range(cols)] for i in range(rows)], cols=cols)
+
+        a, b = sparse(p, q), sparse(q, r)
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (p, r)
+        assert prod.data == tuple(
+            tuple(sum(a.data[i][k] * b.data[k][j] for k in range(q)) for j in range(r))
+            for i in range(p))
+
     def test_zero_dimension_shapes(self):
         assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
         assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
@@ -162,6 +183,16 @@ class TestSmith:
                 assert b == 0
             elif b != 0:
                 assert b % a == 0
+
+    @given(matrices)
+    @settings(max_examples=150, deadline=None)
+    def test_diagonal_readers_match_snf(self, m):
+        # cokernel and invariant_factors skip the transforms; they must
+        # still read the diagonal snf returns
+        diag = [x for x in diagonal(snf(m)[0]) if x != 0]
+        assert invariant_factors(m) == tuple(diag)
+        assert cokernel(m) == (tuple(x for x in diag if x != 1)
+                               + (0,) * (m.rows - len(diag)))
 
     def test_snf_identity(self):
         d, _, _ = snf(IntMatrix.identity(3))
