@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Optional, Sequence
 
 from .core import (
@@ -47,10 +46,8 @@ from .intmatrix import (
     IntMatrix,
     Lattice,
     cokernel,
-    flatten,
     hstack,
     kernel_basis,
-    kron,
     solve_matrix,
     vstack,
     _hnf,
@@ -239,24 +236,20 @@ def coinverse_equation(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
     return hstack(l, r, qb, qa), hstack(r, l, l @ i - qa, r @ i - qb)
 
 
-def coinverse_system(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
-                     i: IntMatrix, q: IntMatrix) -> tuple[IntMatrix, list[int]]:
-    """:func:`coinverse_equation` ``s @ A = B`` as one integer system
-    ``matrix @ flatten(s) = rhs`` in all entries of s at once.  ``abgp``
-    solves ``s @ A = B`` row by row instead; this form is for hosts that
-    join further equations in s (``chain`` adds the boundary squares).
+def solve_coinverse_equation(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
+                             i: IntMatrix, q: IntMatrix) -> Optional[IntMatrix]:
+    """A co-inverse matrix s with ``s @ A = B`` (:func:`coinverse_equation`),
+    or None when there is none.
 
-    Row by row, s.a flattens to ``kron(I, a^T)`` applied to
-    ``flatten(s)``; the rows come block by block, for the column blocks
-    l, r, q_b and q_a of A in turn.
+    Row p of s solves ``A^T @ x = B[p]^T``, so one Hermite form of A^T
+    serves every row.  On a co-category A has a trivial left kernel, so
+    the solution is unique: if ``s @ A = 0`` then ``s @ l = 0`` and
+    ``s @ q_b = 0``, so the left co-unit law ``l.i.q_a + q_b = 1``
+    gives ``s = s @ l.i.q_a + s @ q_b = 0``.
     """
     a, b = coinverse_equation(double, l, r, i, q)
-    eye = IntMatrix.identity(l.rows)
-    ends = list(accumulate((l.cols, r.cols, q.cols, q.cols)))
-    blocks = [range(start, end) for start, end in zip([0] + ends, ends)]
-    matrix = vstack(*(kron(eye, a.select_cols(cols).transpose()) for cols in blocks))
-    rhs = [x for cols in blocks for x in flatten(b.select_cols(cols))]
-    return matrix, rhs
+    s_transposed = solve_matrix(a.transpose(), b.transpose())
+    return None if s_transposed is None else s_transposed.transpose()
 
 
 class AbGp(CategoryCapabilities):
@@ -338,19 +331,13 @@ class AbGp(CategoryCapabilities):
         return True, None
 
     def solve_coinverse(self, data: CoCategoryData) -> Optional[AbMap]:
-        """Solve ``s @ A = B`` (:func:`coinverse_equation`) row by row:
-        row p of s solves ``A^T @ x = B[p]^T``, so one Hermite form of
-        A^T serves every row.  Needs free groups so that equality is
-        strict; returns None exactly when some row has no solution.
-        """
+        """:func:`solve_coinverse_equation` on the structure matrices.
+        Needs free groups so that equality is strict."""
         if not (data.q0.is_free and data.q1.is_free and data.double.apex.is_free):
             raise UnsupportedCapability("co-inverse solving needs free groups")
-        a, b = coinverse_equation(data.double, data.l.matrix, data.r.matrix,
-                                  data.i.matrix, data.q.matrix)
-        s_transposed = solve_matrix(a.transpose(), b.transpose())
-        if s_transposed is None:
-            return None
-        return AbMap(data.q1, data.q1, s_transposed.transpose())
+        s = solve_coinverse_equation(data.double, data.l.matrix, data.r.matrix,
+                                     data.i.matrix, data.q.matrix)
+        return None if s is None else AbMap(data.q1, data.q1, s)
 
 
 ABGP = AbGp()

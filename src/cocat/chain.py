@@ -24,7 +24,6 @@ The module also hosts three showpieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 from .core import (
@@ -37,9 +36,8 @@ from .core import (
     UnsupportedCapability,
     double_and_triple,
 )
-from .intmatrix import (IntMatrix, cokernel, diagonal, hstack, invert_unimodular, kron, snf,
-                        solve, unflatten, vstack)
-from .abgp import ABGP, AbMap, FgAbGroup, coinverse_system, free_group
+from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf
+from .abgp import ABGP, AbMap, FgAbGroup, free_group, solve_coinverse_equation
 from .fincat import FinCategory, FunctorData
 
 
@@ -85,19 +83,6 @@ class ChainComplex:
 def zero_complex(degrees: int = 1) -> ChainComplex:
     ranks = (0,) * degrees
     return ChainComplex(ranks, tuple(IntMatrix.zeros(0, 0) for _ in range(degrees - 1)))
-
-
-def pad_complex(x: ChainComplex, max_degree: int) -> ChainComplex:
-    """Extend with zero ranks up to the requested top degree."""
-    if max_degree < x.max_degree:
-        raise ValueError("cannot pad downward")
-    if max_degree == x.max_degree:
-        return x
-    ranks = x.ranks + (0,) * (max_degree - x.max_degree)
-    diffs = list(x.diffs)
-    for d in range(x.max_degree + 1, max_degree + 1):
-        diffs.append(IntMatrix.zeros(ranks[d - 1], 0))
-    return ChainComplex(tuple(ranks), tuple(diffs))
 
 
 @dataclass(frozen=True)
@@ -208,37 +193,29 @@ class Ch(CategoryCapabilities):
         return True, None
 
     def solve_coinverse(self, data: CoCategoryData) -> Optional[ChainMap]:
-        """One integer linear system over all degrees at once, unknowns
-        degree-major: the four co-inverse identities of each degree
-        (``abgp.coinverse_system``) on the diagonal, then the
-        boundary-commutation squares s_{d-1}.diff(d) = diff(d).s_d."""
+        """Degree by degree through :func:`abgp.solve_coinverse_equation`,
+        with that degree's pushout witness; None as soon as a degree has
+        no solution.
+
+        The boundary squares s_{d-1}.diff(d) = diff(d).s_d need no
+        solving on a co-category.  In degree d the identities read
+        ``s_d @ A_d = B_d`` with ``A_d = [l | r | q_b | q_a]``, and the
+        left co-unit law ``l.i.q_a + q_b = 1`` gives A_d a trivial left
+        kernel: ``X @ A_d = 0`` forces ``X = X @ (l.i.q_a + q_b) = 0``.
+        Both sides of square d solve ``X @ A_d = diff(d) @ B_d``, since
+        l, r, i and q are chain maps, so they agree, and the ``ChainMap``
+        constructor only checks them.  Off a co-category that check may
+        raise :class:`TypeMismatch`."""
         if data.double.payload is None or "degrees" not in data.double.payload:
             raise UnsupportedCapability("double witness lacks degreewise bookkeeping")
-        q1 = data.q1
-        offsets = [0, *accumulate(n * n for n in q1.ranks)]
-
-        def place(block: IntMatrix, start: int) -> IntMatrix:
-            return hstack(IntMatrix.zeros(block.rows, start), block,
-                          IntMatrix.zeros(block.rows, offsets[-1] - start - block.cols))
-
-        blocks: list[IntMatrix] = []
-        rhs: list[int] = []
-        for start, parts in zip(offsets, zip(data.double.payload["degrees"], data.l.mats,
-                                             data.r.mats, data.i.mats, data.q.mats)):
-            matrix, b = coinverse_system(*parts)
-            blocks.append(place(matrix, start))
-            rhs.extend(b)
-        for d in range(1, q1.max_degree + 1):
-            bd = q1.diff(d)
-            square = hstack(kron(IntMatrix.identity(q1.ranks[d - 1]), bd.transpose()),
-                            -kron(bd, IntMatrix.identity(q1.ranks[d])))
-            blocks.append(place(square, offsets[d - 1]))
-            rhs.extend([0] * square.rows)
-        sol = solve(vstack(*blocks), rhs)
-        if sol is None:
-            return None
-        return ChainMap(q1, q1, tuple(unflatten(sol[offsets[d]:offsets[d + 1]], n, n)
-                                      for d, n in enumerate(q1.ranks)))
+        mats = []
+        for parts in zip(data.double.payload["degrees"], data.l.mats, data.r.mats,
+                         data.i.mats, data.q.mats):
+            s = solve_coinverse_equation(*parts)
+            if s is None:
+                return None
+            mats.append(s)
+        return ChainMap(data.q1, data.q1, tuple(mats))
 
 
 CH = Ch()
@@ -308,26 +285,6 @@ def total_space(data: CoCategoryData) -> CoCategoryData:
         raise InvariantViolation("total double pushout does not match the chain one")
     q = AbMap(q1, double.apex, total_matrix(data.q))
     return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
-
-
-# ---------------------------------------------------------------------------
-# Dualisation (transposed matrices, reversed grading)
-
-
-def dual_complex(x: ChainComplex) -> ChainComplex:
-    """Transpose all boundaries and reverse the grading, so the dual is
-    again a chain complex: degree k holds the dual of degree n - k."""
-    n = x.max_degree
-    ranks = tuple(reversed(x.ranks))
-    diffs = tuple(x.diff(n - k + 1).transpose() for k in range(1, n + 1))
-    return ChainComplex(ranks, diffs)
-
-
-def dual_chain_map(f: ChainMap) -> ChainMap:
-    """The transposed map between the dual complexes (direction flips)."""
-    n = f.dom.max_degree
-    return ChainMap(dual_complex(f.cod), dual_complex(f.dom),
-                    tuple(f.mats[n - k].transpose() for k in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -164,27 +164,6 @@ def vstack(*ms: IntMatrix) -> IntMatrix:
                      tuple(r for m in ms for r in m.data))
 
 
-def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product: entry ``((i, k), (j, l))`` is ``a[i][j] * b[k][l]``."""
-    return IntMatrix(a.rows * b.rows, a.cols * b.cols,
-                     tuple(tuple(x * y for x in ra for y in rb)
-                           for ra in a.data for rb in b.data))
-
-
-def flatten(m: IntMatrix) -> list[int]:
-    """The entries row by row, so that ``flatten(a @ x @ b)`` is
-    ``kron(a, b.transpose()).apply(flatten(x))``."""
-    return [x for row in m.data for x in row]
-
-
-def unflatten(vec: Sequence[int], rows: int, cols: int) -> IntMatrix:
-    """The inverse of :func:`flatten`."""
-    if len(vec) != rows * cols:
-        raise ValueError("vector length mismatch")
-    return IntMatrix(rows, cols,
-                     tuple(tuple(vec[p * cols:(p + 1) * cols]) for p in range(rows)))
-
-
 # ---------------------------------------------------------------------------
 # Elementary operations on mutable list-of-list workspaces
 

@@ -1,12 +1,10 @@
 """Chain complexes: construction laws, degreewise pushouts, the
-interval example and its total space, dualisation, and the nerve
-pipeline."""
+interval example and its total space, and the nerve pipeline."""
 
 import random
 
 import pytest
 
-from cocat import chain as chain_module
 from cocat.core import (
     NotFree,
     TypeMismatch,
@@ -23,15 +21,11 @@ from cocat.chain import (
     chain_compose,
     chain_example_cocategory,
     chain_identity,
-    dual_chain_map,
-    dual_complex,
     free_normalized_chains,
     nerve,
-    pad_complex,
     pipeline,
     pipeline_cocategory,
     pipeline_map,
-    total_matrix,
     total_order,
     total_space,
     truncate_ge2,
@@ -45,7 +39,7 @@ from cocat.fincat import (
 )
 from cocat.intmatrix import IntMatrix, kernel_basis, solve
 
-from test_abgp import coinverse_residual, probed_system
+from test_abgp import coinverse_residual, left_kernel_rank, probed_system
 
 
 def _m(rows, cols=None):
@@ -89,11 +83,6 @@ class TestComplexes:
         with pytest.raises(TypeMismatch):
             ChainMap(x, y, (IntMatrix.identity(1), IntMatrix.identity(1)))
         ChainMap(x, y, (_m([[2]]), IntMatrix.identity(1)))
-
-    def test_pad(self):
-        x = ChainComplex((2,), ())
-        padded = pad_complex(x, 2)
-        assert padded.ranks == (2, 0, 0)
 
 
 class TestChainPushout:
@@ -163,18 +152,22 @@ def _chain_residual(data):
     return residual
 
 
-def _solved_system(monkeypatch, data):
-    """The (matrix, rhs) that ``Ch.solve_coinverse`` hands to ``solve``."""
-    seen = []
+def _assert_agrees_with_probe(data):
+    """``CH.solve_coinverse`` is None exactly when one integer solve of
+    the probed residual over all degrees and squares is, and otherwise
+    equals it entry for entry (unknowns degree-major, row by row)."""
+    s = CH.solve_coinverse(data)
+    probed = solve(*probed_system(_chain_residual(data), data.q1.ranks))
+    assert (s is None) == (probed is None)
+    if s is not None:
+        assert tuple(x for m in s.mats for row in m.data for x in row) == probed
 
-    def spy(matrix, rhs):
-        seen.append((matrix, list(rhs)))
-        return solve(matrix, rhs)
 
-    monkeypatch.setattr(chain_module, "solve", spy)
-    CH.solve_coinverse(data)
-    assert len(seen) == 1
-    return seen[0]
+def _left_kernel_ranks(data):
+    """Per degree, the rank of the left kernel of A_d in
+    ``s_d @ A_d = B_d``."""
+    return [left_kernel_rank(*parts) for parts in zip(
+        data.double.payload["degrees"], data.l.mats, data.r.mats, data.i.mats, data.q.mats)]
 
 
 def _zero_cokernel_pair(x):
@@ -188,6 +181,9 @@ _EMPTY_BOTTOM = ChainComplex((0, 1, 2), (IntMatrix.zeros(0, 1), _m([[1, -1]])))
 
 
 class TestCoinverseSystem:
+    """The degreewise solve against one solve of the probed system over
+    all degrees and squares, and the trivial left kernel it rests on."""
+
     @pytest.mark.parametrize("build", [
         chain_example_cocategory,
         lambda: _zero_cokernel_pair(
@@ -195,17 +191,24 @@ class TestCoinverseSystem:
         lambda: _zero_cokernel_pair(ChainComplex((2, 2), (_m([[1, 2], [0, 1]]),))),
         lambda: _zero_cokernel_pair(_EMPTY_BOTTOM),
     ])
-    def test_matches_probed_residual(self, monkeypatch, build):
+    def test_matches_probed_residual(self, build):
         data = build()
-        probed = probed_system(_chain_residual(data), data.q1.ranks)
-        assert _solved_system(monkeypatch, data) == probed
+        _assert_agrees_with_probe(data)
 
-    def test_random_complexes(self, monkeypatch):
+    def test_random_complexes(self):
         rng = random.Random(5)
         for _ in range(10):
             data = _zero_cokernel_pair(_random_complex(rng, max_rank=2))
-            probed = probed_system(_chain_residual(data), data.q1.ranks)
-            assert _solved_system(monkeypatch, data) == probed
+            _assert_agrees_with_probe(data)
+
+    def test_left_kernel_trivial_in_every_degree(self):
+        for data in (chain_example_cocategory(), pipeline_cocategory(interval_cocategory())):
+            assert _left_kernel_ranks(data) == [0, 0]
+        rng = random.Random(11)
+        for _ in range(10):
+            x = _random_complex(rng)
+            for data in (_zero_cokernel_pair(x), cokernel_pair(CH, chain_identity(x))):
+                assert _left_kernel_ranks(data) == [0, 0, 0]
 
     def test_empty_degree_coequivalence(self):
         data = _zero_cokernel_pair(_EMPTY_BOTTOM)
@@ -244,46 +247,9 @@ class TestTotalSpace:
         assert total.q1.rank == 1
         assert check_cocategory(ABGP, total).ok
 
-    def test_commutes_with_dualisation(self):
-        # summing degrees then transposing agrees with transposing
-        # degreewise then summing, up to the interleaving permutations
-        d = chain_example_cocategory()
-        for f in (d.l, d.r, d.i, d.q):
-            lhs = total_matrix(f).transpose()
-            rhs = total_matrix(dual_chain_map(f))
-            dual_rows = total_order(dual_complex(f.dom))
-            dual_cols = total_order(dual_complex(f.cod))
-            n_dom = f.dom.max_degree
-            n_cod = f.cod.max_degree
-            rows = [(n_dom - deg, pos) for deg, pos in total_order(f.dom)]
-            cols = [(n_cod - deg, pos) for deg, pos in total_order(f.cod)]
-            for ri, row_label in enumerate(rows):
-                for ci, col_label in enumerate(cols):
-                    assert lhs.data[ri][ci] == rhs.data[
-                        dual_rows.index(row_label)][dual_cols.index(col_label)]
-
     def test_dual_total_is_internal_category(self):
         icat = transpose_dualize(total_space(chain_example_cocategory()))
         assert check_internal_category(icat).ok
-
-
-class TestDuals:
-    def test_dual_complex_shape(self):
-        x = chain_example_cocategory().q1
-        dx = dual_complex(x)
-        assert dx.ranks == (1, 2)
-        assert dx.diff(1) == x.diff(1).transpose()
-
-    def test_double_dual_is_original(self):
-        x = chain_example_cocategory().q1
-        assert dual_complex(dual_complex(x)) == x
-
-    def test_dual_map_is_chain_map(self):
-        d = chain_example_cocategory()
-        dual = dual_chain_map(d.l)  # constructor re-validates commutation
-        assert dual.dom == dual_complex(d.q1)
-        assert dual.cod == dual_complex(d.q0)
-        assert dual_chain_map(dual_chain_map(d.l)) == d.l
 
 
 class TestNerve:

@@ -1,9 +1,15 @@
-"""Round trips through the text schemas and diagnostics on bad input."""
+"""Round trips through the text schemas, diagnostics on bad input, and
+a fuzz over mutated documents."""
+
+import string
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocat import abgp, chain, fincat, finset
-from cocat.core import check_cocategory
+from cocat.core import check_cocategory, classify
 from cocat.formats import ParseError, parse_document, write_document
 
 
@@ -147,3 +153,36 @@ class TestDiagnostics:
         report = check_cocategory(finset.FINSET, parsed)
         assert not report.ok
         assert report.failures
+
+
+@lru_cache(maxsize=None)
+def _written(category):
+    return write_document(category, EXAMPLES[category]())
+
+
+class TestFuzz:
+    """Mutants of the written examples: a digit changed, a line dropped
+    or duplicated, or any character replaced.  Only ParseError may
+    escape the parser, and every mutant that parses classifies."""
+
+    @pytest.mark.parametrize("category", sorted(EXAMPLES))
+    @given(st.sampled_from(("digit", "drop", "duplicate", "replace")), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_only_parse_errors_escape(self, category, mutation, data):
+        text = _written(category)
+        lines = text.splitlines(keepends=True)
+        if mutation == "digit":
+            pos = data.draw(st.sampled_from([p for p, ch in enumerate(text) if ch.isdigit()]))
+            text = text[:pos] + data.draw(st.sampled_from(string.digits)) + text[pos + 1:]
+        elif mutation == "replace":
+            pos = data.draw(st.integers(0, len(text) - 1))
+            text = text[:pos] + data.draw(st.sampled_from(string.printable)) + text[pos + 1:]
+        else:
+            k = data.draw(st.integers(0, len(lines) - 1))
+            kept = lines[:k] + lines[k + 1:] if mutation == "drop" else lines[:k + 1] + lines[k:]
+            text = "".join(kept)
+        try:
+            _, parsed = parse_document(text)
+        except ParseError:
+            return
+        classify(HOSTS[category], parsed)

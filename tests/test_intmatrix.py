@@ -13,14 +13,11 @@ from cocat.intmatrix import (
     hnf,
     hstack,
     invariant_factors,
-    flatten,
     invert_unimodular,
     kernel_basis,
-    kron,
     rank,
     snf,
     solve,
-    unflatten,
     vstack,
 )
 
@@ -31,7 +28,7 @@ def _mat(rows):
 
 def _det(m):
     sympy = pytest.importorskip("sympy")
-    return int(sympy.Matrix(m.rows, m.cols, flatten(m)).det())
+    return int(sympy.Matrix(m.rows, m.cols, [x for row in m.data for x in row]).det())
 
 
 matrices = st.integers(0, 4).flatmap(
@@ -290,21 +287,3 @@ class TestArithmetic:
         assert invert_unimodular(IntMatrix.identity(4)) == IntMatrix.identity(4)
         with pytest.raises(ValueError):
             invert_unimodular(_mat([[1, 0], [0, 2]]))
-
-    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
-           st.randoms(use_true_random=False))
-    @settings(max_examples=100, deadline=None)
-    def test_kron_flattens_products(self, p, q, r, t, rng):
-        def draw(rows, cols):
-            return IntMatrix.from_rows(
-                [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], cols=cols)
-
-        a, x, b = draw(p, q), draw(q, r), draw(r, t)
-        assert flatten(a @ x @ b) == list(kron(a, b.transpose()).apply(flatten(x)))
-
-    @given(matrices)
-    @settings(max_examples=100, deadline=None)
-    def test_unflatten_inverts_flatten(self, m):
-        assert unflatten(flatten(m), m.rows, m.cols) == m
-        with pytest.raises(ValueError):
-            unflatten(flatten(m) + [0], m.rows, m.cols)
