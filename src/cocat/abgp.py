@@ -215,7 +215,10 @@ def _copair_matrix(witness: PushoutWitness, u: IntMatrix, v: IntMatrix) -> IntMa
     the disjoint-sum generators that survived simplification."""
     if witness.payload is None or "kept" not in witness.payload:
         raise UnsupportedCapability("witness lacks the column bookkeeping for copairing")
-    return hstack(u, v).select_cols(witness.payload["kept"])
+    kept = witness.payload["kept"]
+    rows = tuple(tuple(map((ru + rv).__getitem__, kept))
+                 for ru, rv in zip(u.data, v.data, strict=True))
+    return IntMatrix(u.rows, len(kept), rows)
 
 
 def coinverse_equation(double: PushoutWitness, l: IntMatrix, r: IntMatrix,

@@ -16,6 +16,12 @@ Four subcommands:
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 parse error.  ``--format json`` renders the same report the human
 output is generated from.
+
+``import cocat.cli`` loads click and :mod:`cocat.core` only; each
+command imports the hosts it runs when it runs, so ``enumerate`` and
+the finite-set examples never load the integer layer, while
+``classify`` (through :mod:`cocat.formats`), ``pipeline`` and
+``verify chain-example`` load every host.
 """
 
 from __future__ import annotations
@@ -26,20 +32,14 @@ from typing import Callable, Optional
 
 import click
 
-from . import abgp, chain, core, fincat, finset, formats
+from . import core
 from .core import classify as classify_data
 from .core import check_cocategory, coinverse_candidates
 
 MAX_Q0 = 3
 MAX_Q1 = 6
 
-HOSTS = {
-    "finset": finset.FINSET,
-    "abgp": abgp.ABGP,
-    "chain": chain.CH,
-    "cat": fincat.CAT,
-}
-
+CATEGORIES = ("finset", "abgp", "chain", "cat")
 EXAMPLES = ("finset-cokernel", "abgp-example", "chain-example", "cat-interval", "universal")
 
 
@@ -113,6 +113,7 @@ def _classification_flags(report: Report, cls: core.Classification,
 
 
 def _verify_finset_cokernel(report: Report) -> None:
+    from . import finset
     m = finset.subset_mono([0], finset.FinSetObj(2))
     data = finset.cokernel_pair_cocategory(m)
     cls = classify_data(finset.FINSET, data)
@@ -128,6 +129,7 @@ def _verify_finset_cokernel(report: Report) -> None:
 
 
 def _verify_abgp(report: Report) -> None:
+    from . import abgp
     data = abgp.group_example_cocategory()
     cls = classify_data(abgp.ABGP, data)
     _classification_flags(report, cls, {"cocategory": True, "copreorder": False,
@@ -150,6 +152,7 @@ def _verify_abgp(report: Report) -> None:
 
 
 def _verify_chain(report: Report) -> None:
+    from . import abgp, chain
     data = chain.chain_example_cocategory()
     cls = classify_data(chain.CH, data)
     _classification_flags(report, cls, {"cocategory": True, "copreorder": False,
@@ -166,6 +169,7 @@ def _verify_chain(report: Report) -> None:
 
 
 def _verify_cat_interval(report: Report) -> None:
+    from . import fincat
     data = fincat.interval_cocategory()
     cls = classify_data(fincat.CAT, data)
     _classification_flags(report, cls, {"cocategory": True, "copreorder": False,
@@ -181,6 +185,7 @@ def _verify_cat_interval(report: Report) -> None:
 
 
 def _verify_universal(report: Report) -> None:
+    from . import finset
     data = finset.universal_cocategory()
     cls = classify_data(finset.FINSET, data)
     _classification_flags(report, cls, {"cocategory": True, "copreorder": True,
@@ -237,6 +242,7 @@ def verify(example: str, fmt: str) -> None:
 def enumerate(q0_max: int, q1_max: int, verify_theorem: bool, count_iso: bool,
               fmt: str) -> None:
     """Exhaust all co-categories in finite sets within the bounds."""
+    from . import finset
     if q0_max < 0 or q1_max < 0:
         raise click.UsageError("bounds must be non-negative")
     if q0_max > MAX_Q0 or q1_max > MAX_Q1:
@@ -286,22 +292,22 @@ def enumerate(q0_max: int, q1_max: int, verify_theorem: bool, count_iso: bool,
 
 
 @main.command(name="classify")
-@click.option("--category", "category", type=click.Choice(list(HOSTS)), required=True,
+@click.option("--category", "category", type=click.Choice(CATEGORIES), required=True,
               help="host category the document lives in")
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False),
               required=True)
 @_format_option
 def classify_cmd(category: str, path: str, fmt: str) -> None:
     """Parse a structure document and classify it."""
+    from . import formats
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
         _, data = formats.parse_document(text, expected_category=category)
     except formats.ParseError as exc:
         raise click.UsageError(f"ParseError: {exc}")
-    host = HOSTS[category]
     report = Report(command=f"classify --category {category}")
-    cls = classify_data(host, data)
+    cls = classify_data(formats.engine(category), data)
     report.add("cocategory-axioms", cls.is_cocategory,
                None if cls.is_cocategory else f"failed: {', '.join(cls.witnesses['axioms'])}")
     for flag in ("is_cocategory", "is_copreorder", "is_cogroupoid", "is_coequivalence"):
@@ -313,6 +319,7 @@ def classify_cmd(category: str, path: str, fmt: str) -> None:
 
 
 def _show_witness(witness) -> str:
+    from . import fincat
     if isinstance(witness, dict):
         parts = []
         for key, value in witness.items():
@@ -334,6 +341,7 @@ def _show_witness(witness) -> str:
 @_format_option
 def pipeline(fmt: str) -> None:
     """Nerve pipeline: interval in finite categories to chain complexes."""
+    from . import chain, fincat
     report = Report(command="pipeline")
     interval = fincat.interval_cocategory()
     out = chain.pipeline_cocategory(interval)

@@ -79,7 +79,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import CoCategoryData, CocatError, TypeMismatch, NonComposable, double_and_triple
+from .core import (CategoryCapabilities, CoCategoryData, CocatError, TypeMismatch,
+                   NonComposable, double_and_triple)
 from .intmatrix import IntMatrix
 from . import finset as fs
 from . import abgp as ab
@@ -414,6 +415,11 @@ _WRITERS = {
     "chain": write_chain,
     "cat": write_cat,
 }
+
+
+def engine(category: str) -> CategoryCapabilities:
+    """The host engine that documents of ``category`` are read into."""
+    return _READERS[category][0]
 
 
 def _parse(doc: _Doc, category: str) -> CoCategoryData:

@@ -151,7 +151,7 @@ def hstack(*ms: IntMatrix) -> IntMatrix:
     if any(m.rows != rows for m in ms):
         raise ValueError("row count mismatch")
     return IntMatrix(rows, sum(m.cols for m in ms),
-                     tuple(tuple(x for m in ms for x in m.data[i]) for i in range(rows)))
+                     tuple(sum(parts, ()) for parts in zip(*(m.data for m in ms))))
 
 
 def vstack(*ms: IntMatrix) -> IntMatrix:

@@ -31,6 +31,7 @@ from cocat.abgp import (
     EXAMPLE_Q,
     EXAMPLE_R,
     EXAMPLE_S,
+    _copair_matrix,
     ab_compose,
     ab_equal,
     ab_identity,
@@ -260,6 +261,25 @@ class TestPushout:
             stacked = hstack(w.injections[0].matrix, w.injections[1].matrix,
                              w.apex.relations)
             assert cokernel(stacked) == ()
+
+    def test_copair_matrix_reads_kept_columns(self):
+        # any u, v with the apex's row count, cocone or not: the kept
+        # columns of [u | v], and a row-count mismatch is refused
+        rng = random.Random(29)
+        dropped = 0
+        for _ in range(60):
+            s, a, b, x = (rng.randint(0, 3) for _ in range(4))
+            f = AbMap(free_group(s), free_group(a), _rand_matrix(rng, a, s))
+            g = AbMap(free_group(s), free_group(b), _rand_matrix(rng, b, s))
+            w = ABGP.pushout(f, g)
+            kept = w.payload["kept"]
+            dropped += len(kept) < a + b
+            u, v = _rand_matrix(rng, x, a), _rand_matrix(rng, x, b)
+            assert _copair_matrix(w, u, v) == hstack(u, v).select_cols(kept)
+            for rows in {max(x - 1, 0), x + 1} - {x}:
+                with pytest.raises(ValueError):
+                    _copair_matrix(w, u, _rand_matrix(rng, rows, b))
+        assert dropped
 
     def test_incompatible_cocone_rejected(self):
         z = free_group(1)

@@ -2,12 +2,26 @@
 two renderings, and the documented error paths."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from cocat import abgp, core, finset, formats
+import cocat
+from cocat import abgp, chain, core, fincat, finset, formats
 from cocat.cli import main
+
+# host name -> (engine, built-in example), written out as documents
+EXAMPLE_DOCUMENTS = {
+    "finset": (finset.FINSET, lambda: finset.cokernel_pair_cocategory(
+        finset.subset_mono([0], finset.FinSetObj(2)))),
+    "abgp": (abgp.ABGP, abgp.group_example_cocategory),
+    "chain": (chain.CH, chain.chain_example_cocategory),
+    "cat": (fincat.CAT, fincat.interval_cocategory),
+}
 
 
 @pytest.fixture
@@ -107,6 +121,32 @@ class TestEnumerate:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    @pytest.mark.parametrize("host", list(EXAMPLE_DOCUMENTS))
+    def test_examples_match_core(self, runner, tmp_path, host, fmt):
+        engine, build = EXAMPLE_DOCUMENTS[host]
+        data = build()
+        path = tmp_path / f"{host}.txt"
+        path.write_text(formats.write_document(host, data))
+        result = runner.invoke(main, ["classify", "--category", host,
+                                      "--file", str(path), "--format", fmt])
+        assert result.exit_code == 0, result.output
+        cls = core.classify(engine, data)
+        flags = {}
+        for name in ("cocategory", "copreorder", "cogroupoid", "coequivalence"):
+            value = getattr(cls, f"is_{name}")
+            flags[f"is-{name}"] = "unknown" if value is None else value
+        if fmt == "json":
+            summary = json.loads(result.output)["summary"]
+            assert {key: summary[key] for key in flags} == flags
+        else:
+            for key, value in flags.items():
+                assert f"      {key}: {value}\n" in result.output
+
+    def test_category_choices_are_the_document_hosts(self):
+        option = next(p for p in main.commands["classify"].params if p.name == "category")
+        assert tuple(option.type.choices) == formats.CATEGORIES
+
     def test_abgp_file_matches_verify(self, runner, tmp_path):
         text = formats.write_document("abgp", abgp.group_example_cocategory())
         path = tmp_path / "example.txt"
@@ -184,6 +224,52 @@ class TestPipeline:
         payload = json.loads(result.output)
         assert payload["exit_code"] == 0
         assert payload["summary"]["glued-nerve-ranks"] == [3, 3, 1, 0]
+
+
+# runs in a fresh interpreter: import cocat.cli, optionally run one
+# command with its output swallowed, then print the exit code and the
+# cocat modules loaded
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from cocat.cli import main
+code = None
+if sys.argv[1:]:
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main.main(args=sys.argv[1:], prog_name="cocat", standalone_mode=False)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "cocat")]))
+"""
+
+HOST_MODULES = {"cocat.abgp", "cocat.chain", "cocat.fincat", "cocat.formats",
+                "cocat.intmatrix"}
+
+
+def _fresh_process(*args):
+    src = str(Path(cocat.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestImports:
+    """In-process tests cannot see a stray top-level import, because
+    other tests have already loaded every module; these start afresh."""
+
+    def test_cli_loads_core_only(self):
+        _, modules = _fresh_process()
+        assert modules == ["cocat", "cocat.cli", "cocat.core"]
+
+    @pytest.mark.parametrize("args", [["verify", "finset-cokernel"],
+                                      ["enumerate", "--q0-max", "2", "--q1-max", "4"]])
+    def test_finset_commands_load_no_other_host(self, args):
+        code, modules = _fresh_process(*args)
+        assert code == 0
+        assert "cocat.finset" in modules
+        assert not HOST_MODULES & set(modules)
 
 
 class TestDeterminism:

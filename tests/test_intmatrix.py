@@ -48,7 +48,7 @@ def _shaped(draw, rows, cols):
 
 
 class TestKernels:
-    """``@``, ``transpose``, ``-`` and ``apply`` against naive loops,
+    """``@``, ``transpose``, ``-``, ``apply`` and ``hstack`` against naive loops,
     with every dimension drawn from 0..4 so that empty inner and outer
     shapes occur."""
 
@@ -91,6 +91,17 @@ class TestKernels:
         assert prod.data == tuple(
             tuple(sum(a.data[i][k] * b.data[k][j] for k in range(q)) for j in range(r))
             for i in range(p))
+
+    @given(st.integers(0, 4), st.lists(st.integers(0, 3), min_size=1, max_size=4), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hstack_matches_naive_loop(self, p, widths, data):
+        parts = [_shaped(data.draw, p, w) for w in widths]
+        stacked = hstack(*parts)
+        assert (stacked.rows, stacked.cols) == (p, sum(widths))
+        assert stacked.data == tuple(tuple(x for m in parts for x in m.data[i])
+                                     for i in range(p))
+        with pytest.raises(ValueError):
+            hstack(*parts, IntMatrix.zeros(p + 1, 1))
 
     def test_zero_dimension_shapes(self):
         assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
