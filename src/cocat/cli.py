@@ -18,10 +18,10 @@ parse error.  ``--format json`` renders the same report the human
 output is generated from.
 
 ``import cocat.cli`` loads click and :mod:`cocat.core` only; each
-command imports the hosts it runs when it runs, so ``enumerate`` and
-the finite-set examples never load the integer layer, while
-``classify`` (through :mod:`cocat.formats`), ``pipeline`` and
-``verify chain-example`` load every host.
+command imports the hosts it runs when it runs, so ``enumerate``, the
+finite-set examples and ``classify --category finset`` never load the
+integer layer.  ``classify`` loads the host of its document alone,
+while ``pipeline`` and ``verify chain-example`` load every host.
 """
 
 from __future__ import annotations
@@ -279,11 +279,13 @@ def enumerate(q0_max: int, q1_max: int, verify_theorem: bool, count_iso: bool,
         report.add("every-structure-is-a-coequivalence", not violations, detail)
         report.summary["violations"] = len(violations)
     if count_iso:
-        classes: list[core.CoCategoryData] = []
+        # iso_cocategories is None across sizes, so compare within a size
+        classes: dict[tuple[int, int], list[core.CoCategoryData]] = {}
         for data in structures:
-            if not any(finset.iso_cocategories(data, rep) is not None for rep in classes):
-                classes.append(data)
-        report.summary["iso-classes"] = len(classes)
+            reps = classes.setdefault((data.q0.size, data.q1.size), [])
+            if not any(finset.iso_cocategories(data, rep) is not None for rep in reps):
+                reps.append(data)
+        report.summary["iso-classes"] = sum(map(len, classes.values()))
     _emit(report, fmt)
 
 
@@ -314,23 +316,25 @@ def classify_cmd(category: str, path: str, fmt: str) -> None:
         value = getattr(cls, flag)
         report.summary[flag.replace("_", "-")] = "unknown" if value is None else value
     for key, witness in sorted(cls.witnesses.items()):
-        report.summary[f"witness-{key}"] = _show_witness(witness)
+        report.summary[f"witness-{key}"] = _show_witness(witness, category)
     _emit(report, fmt)
 
 
-def _show_witness(witness) -> str:
-    from . import fincat
-    if isinstance(witness, dict):
-        parts = []
-        for key, value in witness.items():
+def _show_witness(witness, category: str) -> str:
+    """A witness on one line; test categories and functor pairs, which
+    only the cat host builds, are shown by their size."""
+    if not isinstance(witness, dict):
+        return str(witness)
+    parts = []
+    for key, value in witness.items():
+        if category == "cat":
+            from . import fincat
             if isinstance(value, fincat.FinCategory):
-                parts.append(f"{key}=<category with {value.n_morphisms} morphisms>")
+                value = f"<category with {value.n_morphisms} morphisms>"
             elif isinstance(value, tuple) and value and isinstance(value[0], fincat.FunctorData):
-                parts.append(f"{key}=<functor pair>")
-            else:
-                parts.append(f"{key}={value}")
-        return ", ".join(parts)
-    return str(witness)
+                value = "<functor pair>"
+        parts.append(f"{key}={value}")
+    return ", ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,18 @@ All constructions are canonical and deterministic: pushout apex
 elements are equivalence classes ordered by their smallest member of
 the disjoint union, pullback elements are lexicographically ordered
 pairs.
+
+The kernel is lean but checks everything: there is one ``FinSetObj``
+per size, so objects compare by identity, and a ``FinMap`` is a
+slotted immutable value whose table is length- and range-checked at
+construction, on every path that builds one (pickling and copying
+included).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -44,33 +51,95 @@ from .core import (
 # Objects, morphisms, subobjects
 
 
-@dataclass(frozen=True)
 class FinSetObj:
-    """A finite set with elements 0 .. size-1."""
+    """A finite set with elements 0 .. size-1.
 
-    size: int
+    There is one instance per size: ``FinSetObj(n) is FinSetObj(n)``,
+    so objects compare by identity.  Each carries its identity map,
+    built on first use.
+    """
 
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError("size must be non-negative")
+    __slots__ = ("size", "_identity")
+
+    def __new__(cls, size: int) -> "FinSetObj":
+        obj = _FINSETS.get(size)
+        if obj is None:
+            if size < 0:
+                raise ValueError("size must be non-negative")
+            obj = object.__new__(cls)
+            object.__setattr__(obj, "size", size)
+            object.__setattr__(obj, "_identity", None)
+            # atomic: of two threads interning one size, both get the winner
+            obj = _FINSETS.setdefault(size, obj)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __hash__(self) -> int:
+        # by value, not by id, so hashes and set orders repeat across runs
+        return hash((self.size,))
+
+    def __repr__(self) -> str:
+        return f"FinSetObj(size={self.size!r})"
+
+    def __reduce__(self):
+        return FinSetObj, (self.size,)
 
 
-@dataclass(frozen=True)
+_FINSETS: dict[int, FinSetObj] = {}
+
+
 class FinMap:
-    """A function between finite sets, stored as a lookup table."""
+    """A function between finite sets, stored as a lookup table.
 
-    dom: FinSetObj
-    cod: FinSetObj
-    table: tuple[int, ...]
+    Immutable; every table is length- and range-checked here, whoever
+    builds it.  Equality and hashing follow (dom, cod, table).
+    """
 
-    def __post_init__(self):
-        if len(self.table) != self.dom.size:
+    __slots__ = ("dom", "cod", "table")
+
+    def __init__(self, dom: FinSetObj, cod: FinSetObj, table: tuple[int, ...]):
+        if len(table) != dom.size:
             raise TypeMismatch("table length does not match domain size")
-        if self.table and (min(self.table) < 0 or max(self.table) >= self.cod.size):
+        if table and (min(table) < 0 or max(table) >= cod.size):
             raise TypeMismatch("table entry out of codomain range")
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_table(self, table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table and self.dom is other.dom and self.cod is other.cod
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.table))
+
+    def __repr__(self) -> str:
+        return f"FinMap(dom={self.dom!r}, cod={self.cod!r}, table={self.table!r})"
+
+    def __reduce__(self):
+        # unpickling and copying rebuild through the checks above
+        return FinMap, (self.dom, self.cod, self.table)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
+
+
+# the slots' own setters get past the refusing __setattr__, and are
+# cheaper than object.__setattr__ on this hot path
+_set_dom, _set_cod, _set_table = (FinMap.dom.__set__, FinMap.cod.__set__,
+                                  FinMap.table.__set__)
 
 
 @dataclass(frozen=True)
@@ -97,14 +166,19 @@ class Subobject:
 
 
 def identity(obj: FinSetObj) -> FinMap:
-    return FinMap(obj, obj, tuple(range(obj.size)))
+    ident = obj._identity
+    if ident is None:
+        # threads racing here each store an equal map; any one may stay
+        ident = FinMap(obj, obj, tuple(range(obj.size)))
+        object.__setattr__(obj, "_identity", ident)
+    return ident
 
 
 def compose(f: FinMap, g: FinMap) -> FinMap:
     """f followed by g."""
-    if f.cod != g.dom:
+    if f.cod is not g.dom:
         raise TypeMismatch("compose: cod(f) != dom(g)")
-    return FinMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+    return FinMap(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
 
 def is_mono(f: FinMap) -> bool:
@@ -148,25 +222,21 @@ def pushout(f: FinMap, g: FinMap) -> PushoutWitness:
     The apex is the quotient of the disjoint union by f(s) ~ g(s);
     classes are numbered by their smallest member, A-part first.
     """
-    if f.dom != g.dom:
+    if f.dom is not g.dom:
         raise TypeMismatch("pushout: span legs must share a domain")
-    na, nb = f.cod.size, g.cod.size
-    parent = list(range(na + nb))
-    for s in range(f.dom.size):
-        ra = _uf_find(parent, f.table[s])
-        rb = _uf_find(parent, na + g.table[s])
+    na = f.cod.size
+    parent = list(range(na + g.cod.size))
+    for a, b in zip(f.table, g.table):
+        ra = _uf_find(parent, a)
+        rb = _uf_find(parent, na + b)
         if ra != rb:
             parent[rb] = ra
-    smallest: dict[int, int] = {}
-    for x in range(na + nb):
-        r = _uf_find(parent, x)
-        if r not in smallest:
-            smallest[r] = x
-    order = sorted(smallest, key=smallest.get)
-    index = {r: k for k, r in enumerate(order)}
-    apex = FinSetObj(len(order))
-    inj1 = FinMap(f.cod, apex, tuple(index[_uf_find(parent, a)] for a in range(na)))
-    inj2 = FinMap(g.cod, apex, tuple(index[_uf_find(parent, na + b)] for b in range(nb)))
+    # scanning in order meets each class first at its smallest member
+    index: dict[int, int] = {}
+    label = [index.setdefault(_uf_find(parent, x), len(index)) for x in range(len(parent))]
+    apex = FinSetObj(len(index))
+    inj1 = FinMap(f.cod, apex, tuple(label[:na]))
+    inj2 = FinMap(g.cod, apex, tuple(label[na:]))
     return PushoutWitness(apex=apex, injections=(inj1, inj2), legs=(f, g))
 
 
@@ -190,9 +260,9 @@ def _fill_copair_table(apex: int, inj1: tuple, inj2: tuple,
 def copair(witness: PushoutWitness, u: FinMap, v: FinMap) -> FinMap:
     """Factor the cocone (u, v) through the pushout apex."""
     i1, i2 = witness.injections
-    if u.dom != i1.dom or v.dom != i2.dom:
+    if u.dom is not i1.dom or v.dom is not i2.dom:
         raise TypeMismatch("copair: cocone legs do not match the span")
-    if u.cod != v.cod:
+    if u.cod is not v.cod:
         raise TypeMismatch("copair: cocone legs must share a codomain")
     table = _fill_copair_table(witness.apex.size, i1.table, i2.table, u.table, v.table)
     if table is None:
@@ -254,7 +324,7 @@ class FinSet(CategoryCapabilities):
     name = "finset"
 
     def equal(self, f, g):
-        return f == g
+        return f.table == g.table and f.dom is g.dom and f.cod is g.cod
 
     def compose(self, f, g):
         return compose(f, g)
@@ -686,7 +756,6 @@ def iso_cocategories(a: CoCategoryData, b: CoCategoryData,
 
     if a.q0.size != b.q0.size or a.q1.size != b.q1.size:
         return None
-    import math
 
     n1 = a.q1.size
     free_count = len(uncovered([a.l, a.r]))

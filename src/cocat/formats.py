@@ -75,17 +75,19 @@ may be omitted) and functors as index lists::
 
 from __future__ import annotations
 
+import importlib
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .core import (CategoryCapabilities, CoCategoryData, CocatError, TypeMismatch,
                    NonComposable, double_and_triple)
-from .intmatrix import IntMatrix
-from . import finset as fs
-from . import abgp as ab
-from . import chain as ch
-from . import fincat as fc
+
+# each reader imports its host, and the matrix readers the integer
+# layer, when a document of that category is read
+if TYPE_CHECKING:
+    from . import abgp as ab, chain as ch, fincat as fc, finset as fs
+    from .intmatrix import IntMatrix
 
 
 class ParseError(CocatError):
@@ -163,6 +165,7 @@ class _Doc:
         return s.inline[0]
 
     def matrix(self, name: str) -> IntMatrix:
+        from . import intmatrix
         s = self._get(name)
         if s.inline:
             raise ParseError(f"line {s.lineno}: field '{name}' is a matrix block; "
@@ -191,7 +194,8 @@ class _Doc:
             except ValueError:
                 raise ParseError(f"line {lineno}: field '{name}': non-integer entry")
         try:
-            return IntMatrix.from_rows(data, cols=cols) if rows else IntMatrix.zeros(0, cols)
+            return (intmatrix.IntMatrix.from_rows(data, cols=cols) if rows
+                    else intmatrix.IntMatrix.zeros(0, cols))
         except ValueError as exc:
             raise ParseError(f"field '{name}': {exc}")
 
@@ -215,6 +219,7 @@ class _Doc:
 
 
 def _finmap(doc: _Doc, name: str, dom: fs.FinSetObj, cod: fs.FinSetObj) -> fs.FinMap:
+    from . import finset as fs
     table = doc.ints(name, length=dom.size)
     try:
         return fs.FinMap(dom, cod, tuple(table))
@@ -223,6 +228,7 @@ def _finmap(doc: _Doc, name: str, dom: fs.FinSetObj, cod: fs.FinSetObj) -> fs.Fi
 
 
 def _finset(doc: _Doc, name: str) -> fs.FinSetObj:
+    from . import finset as fs
     size = doc.int(name)
     if size < 0:
         raise ParseError(f"field '{name}': size must be non-negative")
@@ -250,6 +256,7 @@ def _matrix_block(name: str, m: IntMatrix) -> list[str]:
 
 
 def _abmap(doc: _Doc, name: str, dom: ab.FgAbGroup, cod: ab.FgAbGroup) -> ab.AbMap:
+    from . import abgp as ab
     m = doc.matrix(name)
     try:
         return ab.AbMap(dom, cod, m)
@@ -258,6 +265,7 @@ def _abmap(doc: _Doc, name: str, dom: ab.FgAbGroup, cod: ab.FgAbGroup) -> ab.AbM
 
 
 def _group(doc: _Doc, name: str) -> ab.FgAbGroup:
+    from . import abgp as ab
     rank = doc.int(name)
     if rank < 0:
         raise ParseError(f"field '{name}': rank must be non-negative")
@@ -288,6 +296,7 @@ def write_abgp(data: CoCategoryData) -> str:
 
 
 def _complex(doc: _Doc, name: str) -> ch.ChainComplex:
+    from . import chain as ch, intmatrix
     ranks = doc.ints(f"{name}-ranks")
     if not ranks or any(r < 0 for r in ranks):
         raise ParseError(f"field '{name}-ranks': need non-negative ranks, degree 0 first")
@@ -297,7 +306,7 @@ def _complex(doc: _Doc, name: str) -> ch.ChainComplex:
         if doc.has(key):
             diffs.append(doc.matrix(key))
         else:
-            diffs.append(IntMatrix.zeros(ranks[d - 1], ranks[d]))
+            diffs.append(intmatrix.IntMatrix.zeros(ranks[d - 1], ranks[d]))
     try:
         return ch.ChainComplex(tuple(ranks), tuple(diffs))
     except ValueError as exc:
@@ -305,13 +314,14 @@ def _complex(doc: _Doc, name: str) -> ch.ChainComplex:
 
 
 def _chainmap(doc: _Doc, name: str, dom: ch.ChainComplex, cod: ch.ChainComplex) -> ch.ChainMap:
+    from . import chain as ch, intmatrix
     mats = []
     for d in range(dom.max_degree + 1):
         key = f"{name}-{d}"
         if doc.has(key):
             mats.append(doc.matrix(key))
         else:
-            mats.append(IntMatrix.zeros(cod.rank(d), dom.rank(d)))
+            mats.append(intmatrix.IntMatrix.zeros(cod.rank(d), dom.rank(d)))
     try:
         return ch.ChainMap(dom, cod, tuple(mats))
     except TypeMismatch as exc:
@@ -337,6 +347,7 @@ def write_chain(data: CoCategoryData) -> str:
 
 
 def _category(doc: _Doc, name: str) -> fc.FinCategory:
+    from . import fincat as fc
     n_obj = doc.int(f"{name}-objects")
     mor_rows = doc.rows(f"{name}-morphisms", 2)
     src = tuple(row[0] for row in mor_rows)
@@ -365,6 +376,7 @@ def _category(doc: _Doc, name: str) -> fc.FinCategory:
 
 
 def _functor(doc: _Doc, name: str, dom: fc.FinCategory, cod: fc.FinCategory) -> fc.FunctorData:
+    from . import fincat as fc
     obj_map = doc.ints(f"{name}-obj", length=dom.n_objects)
     mor_map = doc.ints(f"{name}-mor", length=dom.n_morphisms)
     try:
@@ -401,12 +413,12 @@ def write_cat(data: CoCategoryData) -> str:
 # Dispatch
 
 
-# host engine, object reader, map reader
+# host module and its engine, object reader, map reader
 _READERS = {
-    "finset": (fs.FINSET, _finset, _finmap),
-    "abgp": (ab.ABGP, _group, _abmap),
-    "chain": (ch.CH, _complex, _chainmap),
-    "cat": (fc.CAT, _category, _functor),
+    "finset": ("finset", "FINSET", _finset, _finmap),
+    "abgp": ("abgp", "ABGP", _group, _abmap),
+    "chain": ("chain", "CH", _complex, _chainmap),
+    "cat": ("fincat", "CAT", _category, _functor),
 }
 
 _WRITERS = {
@@ -418,12 +430,15 @@ _WRITERS = {
 
 
 def engine(category: str) -> CategoryCapabilities:
-    """The host engine that documents of ``category`` are read into."""
-    return _READERS[category][0]
+    """The host engine that documents of ``category`` are read into,
+    importing its module on first use."""
+    module, name = _READERS[category][:2]
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def _parse(doc: _Doc, category: str) -> CoCategoryData:
-    host, read_object, read_map = _READERS[category]
+    host = engine(category)
+    read_object, read_map = _READERS[category][2:]
     q0 = read_object(doc, "q0")
     q1 = read_object(doc, "q1")
     l = read_map(doc, "l", q0, q1)

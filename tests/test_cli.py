@@ -271,6 +271,16 @@ class TestImports:
         assert "cocat.finset" in modules
         assert not HOST_MODULES & set(modules)
 
+    @pytest.mark.parametrize("host, loaded", [("finset", {"cocat.finset"}),
+                                              ("abgp", {"cocat.abgp", "cocat.intmatrix"})])
+    def test_classify_loads_the_document_host_alone(self, tmp_path, host, loaded):
+        _, build = EXAMPLE_DOCUMENTS[host]
+        path = tmp_path / f"{host}.txt"
+        path.write_text(formats.write_document(host, build()))
+        code, modules = _fresh_process("classify", "--category", host, "--file", str(path))
+        assert code == 0
+        assert (HOST_MODULES | {"cocat.finset"}) & set(modules) == loaded | {"cocat.formats"}
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self, runner):

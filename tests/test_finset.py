@@ -3,15 +3,21 @@ all candidate factorisations, coherent-structure stability, exhaustive
 enumeration with frozen regression counts, the universal co-category,
 and the colax correspondence."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocat import finset
 from cocat.core import (
     CoCategoryData,
     CoconeMismatch,
@@ -36,6 +42,7 @@ from cocat.finset import (
     colax_maps,
     cocat_morphisms,
     compose,
+    copair,
     count_q_solutions,
     enumerate_cocategories,
     equalizer,
@@ -88,6 +95,173 @@ class TestFinMap:
     def test_empty_table_on_empty_domain(self):
         for n in (0, 2):
             assert FinMap(FinSetObj(0), FinSetObj(n), ()).table == ()
+
+
+def _draw_map(data, n, m):
+    """A map of an n-set into an m-set (m > 0 when n > 0), entry by entry."""
+    table = tuple(data.draw(st.integers(0, m - 1)) for _ in range(n))
+    return FinMap(FinSetObj(n), FinSetObj(m), table)
+
+
+def _draw_span(data):
+    """Two maps out of one set S into sets A and B, sizes 0..3."""
+    na, nb = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    ns = data.draw(st.integers(0, 3)) if na and nb else 0
+    return _draw_map(data, ns, na), _draw_map(data, ns, nb)
+
+
+def _naive_pushout(f, g):
+    """Apex size and injection tables of the quotient of A + B by
+    f(s) ~ g(s): classes merged as sets, numbered by smallest member."""
+    na, nb = f.cod.size, g.cod.size
+    cls = {x: frozenset((x,)) for x in range(na + nb)}
+    for s in range(f.dom.size):
+        merged = cls[f.table[s]] | cls[na + g.table[s]]
+        for y in merged:
+            cls[y] = merged
+    firsts = sorted({min(c) for c in cls.values()})
+    label = tuple(firsts.index(min(cls[x])) for x in range(na + nb))
+    return len(firsts), label[:na], label[na:]
+
+
+class TestKernel:
+    def test_one_object_per_size(self):
+        assert FinSetObj(3) is FinSetObj(3)
+        assert FinSetObj(0) is not FinSetObj(1)
+        assert FinSetObj(2).size == 2
+
+    def test_negative_size_rejected_and_never_interned(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                FinSetObj(-1)
+        assert -1 not in finset._FINSETS
+
+    def test_one_object_per_size_across_threads(self):
+        # sizes no other test builds, so the threads race to intern each
+        sizes = range(1000, 5000)
+        barrier = threading.Barrier(4, timeout=60)
+
+        def build(_):
+            barrier.wait()
+            return [FinSetObj(n) for n in sizes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(build, range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+        for n, objs in zip(sizes, zip(*results)):
+            assert all(obj is FinSetObj(n) for obj in objs)
+
+    def test_identity_is_cached_on_the_object(self):
+        a = FinSetObj(4)
+        assert identity(a) is identity(a)
+        assert identity(a) == FinMap(a, a, (0, 1, 2, 3))
+
+    def test_attributes_cannot_be_set(self):
+        two = FinSetObj(2)
+        m = FinMap(two, two, (1, 0))
+        for obj, name in ((two, "size"), (m, "dom"), (m, "cod"), (m, "table"), (m, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+        for obj, name in ((two, "size"), (m, "table")):
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert two.size == 2 and m.table == (1, 0)
+
+    def test_equality_and_hash_follow_the_fields(self):
+        a, b = FinSetObj(2), FinSetObj(3)
+        m = FinMap(a, b, (0, 2))
+        same = FinMap(FinSetObj(2), FinSetObj(3), (0, 2))
+        assert m == same and not m != same
+        assert hash(m) == hash(same) == hash((a, b, (0, 2)))
+        assert hash(a) == hash((2,))
+        for other in (FinMap(a, b, (0, 1)), FinMap(a, FinSetObj(4), (0, 2)),
+                      FinMap(FinSetObj(3), b, (0, 2, 0))):
+            assert m != other and not m == other
+        assert m != (a, b, (0, 2))
+        assert len({m, same, FinMap(a, b, (2, 0))}) == 2
+        assert repr(m) == "FinMap(dom=FinSetObj(size=2), cod=FinSetObj(size=3), table=(0, 2))"
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        m = FinMap(FinSetObj(3), FinSetObj(5), (0, 4, 1))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(m, protocol))
+            assert back == m and back.dom is m.dom and back.cod is m.cod
+        for back in (copy.deepcopy(m), copy.copy(m)):
+            assert back == m and back.dom is m.dom and back.cod is m.cod
+        assert pickle.loads(pickle.dumps(FinSetObj(7))) is FinSetObj(7)
+        assert copy.deepcopy(FinSetObj(7)) is FinSetObj(7)
+
+    def test_tampered_table_rejected_on_load(self):
+        m = FinMap(FinSetObj(3), FinSetObj(5), (0, 4, 1))
+        # protocol 0 writes each small int as I<digits>; 4 occurs once
+        text = pickle.dumps(m, 0)
+        assert text.count(b"I4\n") == 1
+        for tampered in (b"I9\n", b"I-1\n"):
+            with pytest.raises(TypeMismatch):
+                pickle.loads(text.replace(b"I4\n", tampered))
+        # deepcopy takes a copy from the memo: hand it a short table
+        with pytest.raises(TypeMismatch):
+            copy.deepcopy(m, {id(m.table): (0, 4)})
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_compose_matches_table_lookup(self, data):
+        n, m = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        m = m or (1 if n else 0)
+        m2 = data.draw(st.one_of(st.just(m), st.integers(0, 3)))
+        k = data.draw(st.integers(1 if m2 else 0, 3))
+        f, g = _draw_map(data, n, m), _draw_map(data, m2, k)
+        if m2 != m:
+            with pytest.raises(TypeMismatch):
+                compose(f, g)
+            return
+        h = compose(f, g)
+        assert h.dom is f.dom and h.cod is g.cod
+        assert h.table == tuple(g.table[f.table[x]] for x in range(n))
+        assert FINSET.equal(h, FinMap(FinSetObj(n), FinSetObj(k), h.table))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pushout_and_copair_match_naive_quotient(self, data):
+        f, g = _draw_span(data)
+        w = pushout(f, g)
+        size, inj1, inj2 = _naive_pushout(f, g)
+        assert w.apex is FinSetObj(size)
+        assert (w.injections[0].table, w.injections[1].table) == (inj1, inj2)
+        assert w.injections[0].dom is f.cod and w.injections[1].dom is g.cod
+        assert w.legs == (f, g)
+
+        x = data.draw(st.integers(1, 3))
+        u, v = _draw_map(data, f.cod.size, x), _draw_map(data, g.cod.size, x)
+        values = [set() for _ in range(size)]
+        for pos, val in zip(inj1 + inj2, u.table + v.table):
+            values[pos].add(val)
+        if any(len(vals) > 1 for vals in values):
+            with pytest.raises(CoconeMismatch):
+                copair(w, u, v)
+        else:
+            h = copair(w, u, v)
+            assert h.dom is w.apex and h.cod is u.cod
+            assert h.table == tuple(vals.pop() for vals in values)
+
+    def test_mismatched_types_rejected(self):
+        one, two = FinSetObj(1), FinSetObj(2)
+        f = FinMap(two, two, (0, 1))
+        with pytest.raises(TypeMismatch):
+            compose(f, FinMap(one, two, (0,)))
+        with pytest.raises(TypeMismatch):
+            compose(FinMap(two, FinSetObj(3), (0, 1)), f)
+        with pytest.raises(TypeMismatch):
+            pushout(f, FinMap(one, two, (0,)))
+        w = pushout(f, f)
+        with pytest.raises(TypeMismatch):
+            copair(w, f, FinMap(two, one, (0, 0)))
+        with pytest.raises(TypeMismatch):
+            copair(w, FinMap(one, two, (0,)), f)
 
 
 class TestPushout:
