@@ -12,7 +12,9 @@ correspondence between co-categories and characteristic maps.
 All constructions are canonical and deterministic: pushout apex
 elements are equivalence classes ordered by their smallest member of
 the disjoint union, pullback elements are lexicographically ordered
-pairs.
+pairs.  The enumeration transports each representative's witnesses
+along a relabelling of Q1 instead of building new pushouts, and the
+transported witnesses equal the ones ``double_and_triple`` builds.
 
 The kernel is lean but checks everything: there is one ``FinSetObj``
 per size, so objects compare by identity, and a ``FinMap`` is a
@@ -500,34 +502,42 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
     non-decreasing i0 (contiguous fibres) and one bijection sigma of Q1
     increasing on each fibre.  So (l, r, q) are searched under each i0
     only, and each completion is yielded relabelled along every such
-    sigma, with the canonical ``double_and_triple`` witnesses: orderly
-    generation (McKay 1998) where the canonical form is a sort.  The
-    search assumes nothing of the theorem and prunes nothing that could
-    pass.  Structures come out by size, then representative, then
-    relabelling.  ``progress`` gets one dict per size: ``lri_triples``
-    counts the representative (l, r, i) searched, ``found`` the
-    structures yielded.
+    sigma: orderly generation (McKay 1998) where the canonical form is a
+    sort.  Relabelling transports the representative's witnesses rather
+    than building new pushouts; they equal ``double_and_triple``'s for
+    the relabelled (l, r).  The search assumes nothing of the theorem
+    and prunes nothing that could pass.  Structures come out by size,
+    then representative, then relabelling.  ``progress`` gets one dict
+    per size: ``lri_triples`` counts the representative (l, r, i)
+    searched, ``found`` the structures yielded.
 
     The degenerate (0, 0) structure is a valid vacuous co-category but
     is only reachable when a bound is zero (an empty Q0 admits no maps
-    from a nonempty Q1, and vice versa l, r need a nonempty target).
+    from a nonempty Q1, and vice versa l, r need a nonempty target);
+    it is reported as size (0, 0) with its one triple.
     """
     if max_q0 < 0 or max_q1 < 0:
         raise ValueError("bounds must be non-negative")
     if max_q0 == 0 or max_q1 == 0:
         yield _vacuous_cocategory()
+        if progress is not None:
+            progress({"q0": 0, "q1": 0, "lri_triples": 1, "found": 1})
         return
     for n0 in range(1, max_q0 + 1):
         for n1 in range(1, max_q1 + 1):
             found = 0
             triples = 0
             q0, q1 = FinSetObj(n0), FinSetObj(n1)
+            # built once per composition, for the representatives under it
+            shuffles: dict[tuple, list[tuple[FinMap, FinMap, FinMap]]] = {}
             for fibres, l, r, i in _representative_triples(q0, q1):
                 triples += 1
                 for rep in _q_candidates(q0, q1, l, r, i):
-                    for sigma in _fibre_shuffles(fibres, tuple(range(n1))):
+                    if fibres not in shuffles:
+                        shuffles[fibres] = _fibre_relabellings(fibres, i)
+                    for data in _relabellings(rep, shuffles[fibres]):
                         found += 1
-                        yield _relabel(rep, FinMap(q1, q1, sigma))
+                        yield data
             if progress is not None:
                 progress({"q0": n0, "q1": n1, "lri_triples": triples, "found": found})
 
@@ -561,20 +571,69 @@ def _fibre_shuffles(fibres: tuple, labels: tuple) -> Iterator[tuple[int, ...]]:
             yield chosen + tail
 
 
-def _relabel(data: CoCategoryData, sigma: FinMap) -> CoCategoryData:
-    """Transport a structure along a bijection sigma of Q1: l' = sigma.l,
-    r' = sigma.r, i' = i.sigma^-1, canonical witnesses for (l', r'), and
-    q' = phi.q.sigma^-1, where the apex bijection phi has
-    phi.nu1 = nu1'.sigma and phi.nu2 = nu2'.sigma."""
-    back = inverse(sigma)
-    l, r = compose(data.l, sigma), compose(data.r, sigma)
-    double, triple = double_and_triple(FINSET, l, r)
-    old1, old2 = data.double.injections
-    nu1, nu2 = double.injections
-    phi = _fill_copair_table(data.double.apex.size, old1.table, old2.table,
-                             compose(sigma, nu1).table, compose(sigma, nu2).table)
-    q = FinMap(data.q1, double.apex, tuple(phi[w] for w in compose(back, data.q).table))
-    return CoCategoryData(data.q0, data.q1, l, r, compose(back, data.i), q, double, triple)
+def _fibre_relabellings(fibres: tuple, i: FinMap) -> list[tuple[FinMap, FinMap, FinMap]]:
+    """(sigma, sigma^-1, i.sigma^-1) for each fibre shuffle sigma of the
+    non-decreasing i with these ``fibres``."""
+    q1 = i.dom
+    out = []
+    for table in _fibre_shuffles(fibres, tuple(range(q1.size))):
+        sigma = FinMap(q1, q1, table)
+        back = inverse(sigma)
+        out.append((sigma, back, compose(back, i)))
+    return out
+
+
+def _first_appearance(seq) -> dict[int, int]:
+    """Each value of ``seq`` numbered by where it first appears; in
+    iteration order the keys list the old values by their new number."""
+    return {w: k for k, w in enumerate(dict.fromkeys(seq))}
+
+
+def _relabellings(rep: CoCategoryData, shuffles) -> Iterator[CoCategoryData]:
+    """``rep`` transported along each bijection sigma of Q1 in
+    ``shuffles``, given with sigma^-1 and i' = i.sigma^-1 for the
+    representative's i: l' = sigma.l, r' = sigma.r and
+    q' = phi.q.sigma^-1, with the witnesses ``double_and_triple`` builds
+    for (l', r').
+
+    The relabelled double pushout has the old classes, read through
+    sigma^-1 on both copies of Q1; numbering them by first appearance,
+    A part then B part, is ``pushout``'s smallest-member numbering and
+    gives the apex bijection phi.  The triple's second pushout glues
+    the double apex (through phi^-1) to Q1 (through sigma^-1) and is
+    renumbered the same way, by psi."""
+    q0, q1 = rep.q0, rep.q1
+    double, triple = rep.double, rep.triple
+    d_apex, t_apex = double.apex, triple.apex
+    nu1, nu2 = (m.table for m in double.injections)
+    t1, t2, t3 = (m.table for m in triple.injections)
+    # j1: the double apex into the triple, j1.nu1 = t1 and j1.nu2 = t2
+    j1 = _fill_copair_table(d_apex.size, nu1, nu2, t1, t2)
+    l, r, q = rep.l.table, rep.r.table, rep.q.table
+    leg = triple.legs[0].table      # r.nu2, glued to l in the second pushout
+    # list comprehensions, not generators, inside tuple(): cheaper here
+    for sigma, back, i2 in shuffles:
+        s, b = sigma.table, back.table
+        old1, old2, old3 = [nu1[x] for x in b], [nu2[x] for x in b], [t3[x] for x in b]
+        phi = _first_appearance(old1 + old2)
+        psi = _first_appearance([j1[w] for w in phi] + old3)
+        l2 = FinMap(q0, q1, tuple([s[a] for a in l]))
+        r2 = FinMap(q0, q1, tuple([s[a] for a in r]))
+        # PushoutWitness(apex, injections, legs)
+        new_double = PushoutWitness(
+            d_apex,
+            (FinMap(q1, d_apex, tuple([phi[w] for w in old1])),
+             FinMap(q1, d_apex, tuple([phi[w] for w in old2]))),
+            (r2, l2))
+        new_triple = PushoutWitness(
+            t_apex,
+            (FinMap(q1, t_apex, tuple([psi[t1[x]] for x in b])),
+             FinMap(q1, t_apex, tuple([psi[t2[x]] for x in b])),
+             FinMap(q1, t_apex, tuple([psi[w] for w in old3]))),
+            (FinMap(q0, d_apex, tuple([phi[w] for w in leg])), l2))
+        yield CoCategoryData(q0, q1, l2, r2, i2,
+                             FinMap(q1, d_apex, tuple([phi[q[x]] for x in b])),
+                             new_double, new_triple)
 
 
 def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,

@@ -103,6 +103,16 @@ class TestEnumerate:
         result = runner.invoke(main, ["enumerate", "--q0-max", "1", "--q1-max", "2"])
         assert "sizes (1, 2)" in result.output
 
+    def test_vacuous_bounds_report_their_size(self, runner):
+        human = runner.invoke(main, ["enumerate", "--q0-max", "0", "--q1-max", "0"])
+        assert human.exit_code == 0, human.output
+        assert ("sizes (0, 0): 1 structures from 1 representative (l, r, i) candidates"
+                in human.output)
+        as_json = runner.invoke(main, ["enumerate", "--q0-max", "0", "--q1-max", "0",
+                                       "--format", "json"])
+        assert as_json.exit_code == 0, as_json.output
+        assert json.loads(as_json.output)["summary"]["structures"] == 1
+
     def test_cap_exceeded(self, runner):
         result = runner.invoke(main, ["enumerate", "--q0-max", "9", "--q1-max", "1"])
         assert result.exit_code == 2

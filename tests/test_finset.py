@@ -4,6 +4,7 @@ enumeration with frozen regression counts, the universal co-category,
 and the colax correspondence."""
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -35,6 +36,8 @@ from cocat.finset import (
     FinMap,
     FinSetObj,
     Subobject,
+    _fill_copair_table,
+    _fibre_shuffles,
     _q_candidates,
     _representative_triples,
     classifying_map,
@@ -48,6 +51,7 @@ from cocat.finset import (
     equalizer,
     identity,
     image,
+    inverse,
     is_mono,
     iso_cocategories,
     pullback,
@@ -476,6 +480,40 @@ def _surjection_oracle(max_q0, max_q1):
                         yield from _q_candidates(q0, q1, l, FinMap(q0, q1, r_table), i)
 
 
+def _relabel_by_pushouts(data, sigma):
+    """The structure transported along a bijection sigma of Q1 with
+    fresh pushouts: l' = sigma.l, r' = sigma.r, i' = i.sigma^-1,
+    ``double_and_triple`` witnesses for (l', r'), and q' = phi.q.sigma^-1,
+    where the apex bijection phi has phi.nu1 = nu1'.sigma and
+    phi.nu2 = nu2'.sigma."""
+    back = inverse(sigma)
+    l, r = compose(data.l, sigma), compose(data.r, sigma)
+    double, triple = double_and_triple(FINSET, l, r)
+    old1, old2 = data.double.injections
+    nu1, nu2 = double.injections
+    phi = _fill_copair_table(data.double.apex.size, old1.table, old2.table,
+                             compose(sigma, nu1).table, compose(sigma, nu2).table)
+    q = FinMap(data.q1, double.apex, tuple(phi[w] for w in compose(back, data.q).table))
+    return CoCategoryData(data.q0, data.q1, l, r, compose(back, data.i), q, double, triple)
+
+
+def _relabelled_by_pushouts(max_q0, max_q1):
+    """Every representative relabelled along every fibre shuffle, in
+    the enumeration's order, through fresh pushouts."""
+    for n0 in range(1, max_q0 + 1):
+        for n1 in range(1, max_q1 + 1):
+            q0, q1 = FinSetObj(n0), FinSetObj(n1)
+            for fibres, l, r, i in _representative_triples(q0, q1):
+                for rep in _q_candidates(q0, q1, l, r, i):
+                    for sigma in _fibre_shuffles(fibres, tuple(range(n1))):
+                        yield _relabel_by_pushouts(rep, FinMap(q1, q1, sigma))
+
+
+def _compositions(n, parts):
+    """The ordered ways of writing n as ``parts`` positive summands."""
+    return [c for c in itertools.product(range(1, n + 1), repeat=parts) if sum(c) == n]
+
+
 class TestEnumeration:
     def test_bounds_1_1(self):
         assert sum(1 for _ in enumerate_cocategories(1, 1)) == 1
@@ -577,8 +615,41 @@ class TestEnumeration:
         assert Counter(enumerate_cocategories(3, 5)) == Counter(_surjection_oracle(3, 5))
 
     def test_witnesses_are_canonical(self):
-        for data in enumerate_cocategories(2, 4):
+        for data in enumerate_cocategories(3, 6):
             assert (data.double, data.triple) == double_and_triple(FINSET, data.l, data.r)
+
+    def test_transport_matches_fresh_pushouts(self):
+        ours = list(enumerate_cocategories(3, 6))
+        oracle = list(_relabelled_by_pushouts(3, 6))
+        assert len(ours) == len(oracle) == 1199
+        for data, expected in zip(ours, oracle):
+            # witnesses compare by apex, injections and legs
+            for f in dataclasses.fields(CoCategoryData):
+                assert getattr(data, f.name) == getattr(expected, f.name), f.name
+
+    def test_searched_and_found_at_3_6(self):
+        # one non-decreasing i per composition of |Q1| into |Q0| parts,
+        # with (product of the parts)^2 pairs of sections each; the
+        # found counts are the closed form of test_bounds_3_5_closed_form
+        blocks = []
+        total = sum(1 for _ in enumerate_cocategories(3, 6, progress=blocks.append))
+        searched = {(b["q0"], b["q1"]): b["lri_triples"] for b in blocks}
+        found = {(b["q0"], b["q1"]): b["found"] for b in blocks}
+        assert list(searched) == [(n0, n1) for n0 in range(1, 4) for n1 in range(1, 7)]
+        for (n0, n1) in searched:
+            assert searched[(n0, n1)] == sum(math.prod(c) ** 2
+                                             for c in _compositions(n1, n0))
+            s = 2 * n0 - n1
+            assert found[(n0, n1)] == (math.comb(n0, s) * math.factorial(n1)
+                                       if 0 <= s <= n0 else 0)
+        assert sum(searched.values()) == 913
+        assert sum(found.values()) == total == 1199
+
+    def test_vacuous_bounds_report_progress(self):
+        blocks = []
+        found = list(enumerate_cocategories(0, 3, progress=blocks.append))
+        assert blocks == [{"q0": 0, "q1": 0, "lri_triples": 1, "found": 1}]
+        assert sum(b["found"] for b in blocks) == len(found)
 
     def test_representatives_past_the_cli_cap(self):
         # each representative stands for its orbit under relabelling
