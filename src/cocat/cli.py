@@ -249,10 +249,8 @@ def enumerate(q0_max: int, q1_max: int, verify_theorem: bool, count_iso: bool,
         raise click.UsageError(
             f"CapExceeded: bounds limited to q0 <= {MAX_Q0}, q1 <= {MAX_Q1}")
     report = Report(command=f"enumerate --q0-max {q0_max} --q1-max {q1_max}")
-    blocks: list[dict] = []
 
     def progress(info: dict) -> None:
-        blocks.append(info)
         if fmt == "human":
             click.echo(f"      sizes ({info['q0']}, {info['q1']}): {info['found']} structures "
                        f"from {info['lri_triples']} representative (l, r, i) candidates")

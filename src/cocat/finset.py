@@ -15,6 +15,8 @@ the disjoint union, pullback elements are lexicographically ordered
 pairs.  The enumeration transports each representative's witnesses
 along a relabelling of Q1 instead of building new pushouts, and the
 transported witnesses equal the ones ``double_and_triple`` builds.
+An (l, r, i) whose legs do not cover Q1 is rejected before any
+pushout is built: the counit laws alone leave it no co-composition.
 
 The kernel is lean but checks everything: there is one ``FinSetObj``
 per size, so objects compare by identity, and a ``FinMap`` is a
@@ -506,10 +508,14 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
     sort.  Relabelling transports the representative's witnesses rather
     than building new pushouts; they equal ``double_and_triple``'s for
     the relabelled (l, r).  The search assumes nothing of the theorem
-    and prunes nothing that could pass.  Structures come out by size,
-    then representative, then relabelling.  ``progress`` gets one dict
-    per size: ``lri_triples`` counts the representative (l, r, i)
-    searched, ``found`` the structures yielded.
+    and prunes nothing that could pass: the one early rejection, of
+    (l, r, i) whose legs miss some z of Q1, follows from the counit
+    laws alone (no apex element folds back to z on both sides; see
+    ``_q_candidates``), and a rejected triple still counts as searched
+    in ``lri_triples``.  Structures come out by size, then
+    representative, then relabelling.  ``progress`` gets one dict per
+    size: ``lri_triples`` counts the representative (l, r, i) searched,
+    ``found`` the structures yielded.
 
     The degenerate (0, 0) structure is a valid vacuous co-category but
     is only reachable when a bound is zero (an empty Q0 admits no maps
@@ -640,7 +646,16 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
                   i: FinMap) -> Iterator[CoCategoryData]:
     """Every q completing (l, r, i) to a co-category.  The axioms pin q
     on the images of l and r, the counit axioms hold pointwise, and
-    only co-associativity is tested per candidate."""
+    only co-associativity is tested per candidate.
+
+    A triple whose legs miss some z of Q1 is rejected before anything
+    is built, by the counit laws alone.  Every apex class w of
+    Q1 +_Q0 Q1 holds some nu1(a) or some nu2(b).  If nu1(a), then
+    [l.i, 1](w) = l(i(a)) lies in im(l); if nu2(b), then
+    [1, r.i](w) = r(i(b)) lies in im(r).  So no w folds back to z on
+    both sides, q(z) has no value, and the triple has no completion."""
+    if uncovered([l, r]):
+        return
     n1 = q1.size
     double = pushout(r, l)
     nu1, nu2 = (m.table for m in double.injections)

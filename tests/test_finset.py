@@ -671,6 +671,63 @@ class TestEnumeration:
         assert total == expected == 66_503
 
 
+def _non_covering_triples(max_q0, max_q1):
+    """The representative (q0, q1, l, r, i) up to (max_q0, max_q1) whose
+    legs l, r together miss some element of Q1."""
+    for n0 in range(1, max_q0 + 1):
+        for n1 in range(1, max_q1 + 1):
+            q0, q1 = FinSetObj(n0), FinSetObj(n1)
+            for _, l, r, i in _representative_triples(q0, q1):
+                if set(l.table) | set(r.table) != set(range(n1)):
+                    yield q0, q1, l, r, i
+
+
+class TestEarlyRejection:
+    """``_q_candidates`` rejects (l, r, i) whose legs miss Q1 before any
+    pushout; these tests rebuild what it skips and check it was empty."""
+
+    def test_no_apex_element_folds_back_to_a_missed_point(self):
+        # the counit folds [l.i, 1] and [1, r.i], by the generic copair
+        triples = 0
+        for q0, q1, l, r, i in _non_covering_triples(3, 6):
+            triples += 1
+            double = pushout(r, l)
+            fold_left = copair(double, compose(i, l), identity(q1))
+            fold_right = copair(double, identity(q1), compose(i, r))
+            missed = set(range(q1.size)) - set(l.table) - set(r.table)
+            assert missed
+            for z in missed:
+                assert not any(fold_left(w) == z == fold_right(w)
+                               for w in range(double.apex.size))
+        assert triples == 874
+
+    def test_no_q_passes_the_checker(self):
+        triples = candidates = 0
+        for q0, q1, l, r, i in _non_covering_triples(3, 3):
+            triples += 1
+            double, triple = double_and_triple(FINSET, l, r)
+            for q in _maps(q1.size, double.apex.size):
+                candidates += 1
+                data = CoCategoryData(q0, q1, l, r, i, q, double, triple)
+                assert not check_cocategory(FINSET, data).ok
+            assert count_q_solutions(q0, q1, l, r, i) == 0
+        assert (triples, candidates) == (15, 1399)
+
+    def test_only_covering_triples_build_pushouts(self, monkeypatch):
+        # 39 of the 913 representatives at (3, 6) cover Q1, and each
+        # builds its double and triple pushout; relabelling builds none
+        calls = []
+        real = finset.pushout
+
+        def counting(f, g):
+            calls.append((f, g))
+            return real(f, g)
+
+        monkeypatch.setattr(finset, "pushout", counting)
+        assert sum(1 for _ in enumerate_cocategories(3, 6)) == 1199
+        assert len(calls) == 78 == 2 * 39
+
+
 class TestUniversal:
     def test_shape(self):
         u = universal_cocategory()
