@@ -41,12 +41,14 @@ from .core import (
     TypeMismatch,
     UnsupportedCapability,
     double_and_triple,
+    reassemble,
 )
 from .intmatrix import (
     IntMatrix,
     Lattice,
     cokernel,
     hstack,
+    invert_unimodular,
     kernel_basis,
     solve_matrix,
     vstack,
@@ -342,6 +344,16 @@ class AbGp(CategoryCapabilities):
                                      data.i.matrix, data.q.matrix)
         return None if s is None else AbMap(data.q1, data.q1, s)
 
+    def inverse(self, f: AbMap) -> Optional[AbMap]:
+        """Through :func:`invert_unimodular` between free groups; None
+        when the matrix is not unimodular."""
+        if not (f.dom.is_free and f.cod.is_free):
+            raise UnsupportedCapability("inverting needs free groups")
+        try:
+            return AbMap(f.cod, f.dom, invert_unimodular(f.matrix))
+        except ValueError:
+            return None
+
 
 ABGP = AbGp()
 
@@ -427,19 +439,18 @@ def transpose_dualize(data: CoCategoryData) -> InternalCategoryData:
 
 
 def transpose_internal(icat: InternalCategoryData) -> CoCategoryData:
-    """Transpose back: rebuilds the co-category with freshly computed
-    pushout witnesses (the canonical pushout reproduces the transposed
-    apex for data that came from :func:`transpose_dualize`)."""
+    """Transpose back: rebuilds the co-category over freshly computed
+    pushout witnesses, with q read through the comparison from them to
+    the transposed composable-pairs object (:func:`core.reassemble`)."""
     q0 = free_group(icat.c0.rank)
     q1 = free_group(icat.c1.rank)
+    p2 = free_group(icat.double.apex.rank)
     l = AbMap(q0, q1, icat.src.matrix.transpose())
     r = AbMap(q0, q1, icat.tgt.matrix.transpose())
     i = AbMap(q1, q0, icat.unit.matrix.transpose())
-    double, triple = double_and_triple(ABGP, l, r)
-    if double.apex.rank != icat.double.apex.rank or not double.apex.is_free:
-        raise InvariantViolation("recomputed pushout does not match the transposed apex")
-    q = AbMap(q1, double.apex, icat.comp.matrix.transpose())
-    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    q = AbMap(q1, p2, icat.comp.matrix.transpose())
+    glued = tuple(AbMap(q1, p2, pi.matrix.transpose()) for pi in icat.double.projections)
+    return reassemble(ABGP, l, r, i, q, glued)
 
 
 def _pair(witness: PullbackWitness, u: AbMap, v: AbMap) -> AbMap:

@@ -35,6 +35,7 @@ from .core import (
     TypeMismatch,
     UnsupportedCapability,
     double_and_triple,
+    reassemble,
 )
 from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf
 from .abgp import ABGP, AbMap, FgAbGroup, free_group, solve_coinverse_equation
@@ -217,6 +218,14 @@ class Ch(CategoryCapabilities):
             mats.append(s)
         return ChainMap(data.q1, data.q1, tuple(mats))
 
+    def inverse(self, f: ChainMap) -> Optional[ChainMap]:
+        """Degree by degree through :func:`invert_unimodular`; None when
+        some degree is not unimodular."""
+        try:
+            return ChainMap(f.cod, f.dom, tuple(invert_unimodular(m) for m in f.mats))
+        except ValueError:
+            return None
+
 
 CH = Ch()
 
@@ -272,19 +281,17 @@ def total_space(data: CoCategoryData) -> CoCategoryData:
     degrees and forgetting the boundaries.
 
     Pushout witnesses are recomputed by the group engine on the summed
-    maps; for the in-scope examples the canonical simplification lands
-    on the interleaved basis, so the structure matrices carry over
-    entrywise."""
+    maps, and q is read through the comparison from them to the summed
+    chain double pushout (:func:`core.reassemble`)."""
     q0 = total_group(data.q0)
     q1 = total_group(data.q1)
+    glued_apex = total_group(data.double.apex)
     l = AbMap(q0, q1, total_matrix(data.l))
     r = AbMap(q0, q1, total_matrix(data.r))
     i = AbMap(q1, q0, total_matrix(data.i))
-    double, triple = double_and_triple(ABGP, l, r)
-    if double.apex.rank != sum(data.double.apex.ranks) or not double.apex.is_free:
-        raise InvariantViolation("total double pushout does not match the chain one")
-    q = AbMap(q1, double.apex, total_matrix(data.q))
-    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    q = AbMap(q1, glued_apex, total_matrix(data.q))
+    glued = tuple(AbMap(q1, glued_apex, total_matrix(nu)) for nu in data.double.injections)
+    return reassemble(ABGP, l, r, i, q, glued)
 
 
 # ---------------------------------------------------------------------------
@@ -442,29 +449,9 @@ def pipeline_map(fun: FunctorData) -> ChainMap:
 
 def pipeline_cocategory(data: CoCategoryData) -> CoCategoryData:
     """Apply the pipeline to a co-category of finite categories and
-    reassemble the result over the computed chain pushouts.
-
-    The image of the glued object is identified with the freshly
-    computed double pushout through the canonical comparison, which
-    must be a degreewise unimodular isomorphism."""
-    q0 = pipeline(data.q0)
-    q1 = pipeline(data.q1)
-    l = pipeline_map(data.l)
-    r = pipeline_map(data.r)
-    i = pipeline_map(data.i)
-    double, triple = double_and_triple(CH, l, r)
-    glued_nu1 = pipeline_map(data.double.injections[0])
-    glued_nu2 = pipeline_map(data.double.injections[1])
-    pq = pipeline_map(data.q)
-    comparison = CH.copair(double, glued_nu1, glued_nu2)
-    inverse_mats = []
-    for m in comparison.mats:
-        if m.rows != m.cols:
-            raise InvariantViolation("pipeline comparison is not square")
-        try:
-            inverse_mats.append(invert_unimodular(m))
-        except ValueError as exc:
-            raise InvariantViolation(f"pipeline comparison is not invertible: {exc}")
-    kappa_inv = ChainMap(glued_nu1.cod, double.apex, tuple(inverse_mats))
-    q = chain_compose(pq, kappa_inv)
-    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    reassemble the result over the computed chain pushouts: q is read
+    through the comparison from the computed double pushout to the
+    image of the glued object (:func:`core.reassemble`)."""
+    glued = tuple(pipeline_map(nu) for nu in data.double.injections)
+    return reassemble(CH, pipeline_map(data.l), pipeline_map(data.r), pipeline_map(data.i),
+                      pipeline_map(data.q), glued)

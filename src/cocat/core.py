@@ -202,9 +202,11 @@ class CategoryCapabilities:
     """Operations each host category supplies to the generic layer.
 
     Required: ``equal``, ``compose``, ``identity``, ``pushout`` and
-    ``copair``.  Everything else is optional; the defaults raise
-    :class:`UnsupportedCapability` (``is_pushout`` returns ``None``,
-    "untestable"), and generic code degrades accordingly.
+    ``copair``.  Everything else (``joint_epi_status``, ``morphisms``,
+    ``solve_coinverse``, ``inverse``, ``is_pushout``) is optional; the
+    defaults raise :class:`UnsupportedCapability` (``is_pushout``
+    returns ``None``, "untestable"), and generic code degrades
+    accordingly.
     """
 
     name = "abstract"
@@ -246,6 +248,10 @@ class CategoryCapabilities:
     def solve_coinverse(self, data: CoCategoryData):
         """Solve directly for a co-inverse; None means provably none."""
         raise UnsupportedCapability(f"{self.name}: co-inverse solving")
+
+    def inverse(self, f):
+        """The inverse of f, or None when f is not an isomorphism."""
+        raise UnsupportedCapability(f"{self.name}: inverting morphisms")
 
     def is_pushout(self, witness: PushoutWitness) -> Optional[bool]:
         """Whether the witness really is a pushout; None = untestable."""
@@ -307,6 +313,19 @@ def cokernel_pair(cat: CategoryCapabilities, m) -> CoCategoryData:
     n1, n2 = double.injections
     q = cat.copair(w, cat.compose(l, n1), cat.compose(r, n2))
     return CoCategoryData(q0=a, q1=w.apex, l=l, r=r, i=i, q=q, double=double, triple=triple)
+
+
+def reassemble(cat: CategoryCapabilities, l, r, i, q, glued) -> CoCategoryData:
+    """The co-category (l, r, i, q) over freshly built pushouts, where q
+    lands in another pushout of ``Q1 <-r- Q0 -l-> Q1`` with injections
+    ``glued``: q is read through the inverse of the comparison [glued],
+    and :class:`InvariantViolation` is raised when there is none."""
+    double, triple = double_and_triple(cat, l, r)
+    back = cat.inverse(cat.copair(double, *glued))
+    if back is None:
+        raise InvariantViolation("pushout comparison is not invertible")
+    return CoCategoryData(q0=l.dom, q1=l.cod, l=l, r=r, i=i, q=cat.compose(q, back),
+                          double=double, triple=triple)
 
 
 # ---------------------------------------------------------------------------

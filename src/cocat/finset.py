@@ -38,7 +38,6 @@ from .core import (
     CoCategoryData,
     CoconeMismatch,
     IllFormedPushout,
-    InvariantViolation,
     NotMono,
     PushoutWitness,
     Report,
@@ -47,6 +46,7 @@ from .core import (
     coinverse_violation,
     cokernel_pair,
     double_and_triple,
+    reassemble,
     triple_pushout,
 )
 
@@ -388,6 +388,9 @@ class FinSet(CategoryCapabilities):
         except (CoconeMismatch, IllFormedPushout):
             return False
         return is_bijective(comparison)
+
+    def inverse(self, f):
+        return inverse(f) if is_bijective(f) else None
 
 
 FINSET = FinSet()
@@ -732,9 +735,9 @@ def pullback_cocategory(chi: FinMap) -> CoCategoryData:
     along a characteristic map chi: A -> Omega.
 
     Q1 is the pullback of chi against the universal co-unit; l, r, i
-    are the induced maps, and q is transported through the canonical
-    comparison between the computed double pushout and the pullback of
-    chi against the universal double apex.
+    are the induced maps, and q is read through the comparison from the
+    computed double pushout to the pullback of chi against the universal
+    double apex (:func:`core.reassemble`).
     """
     if chi.cod != OMEGA:
         raise TypeMismatch("characteristic maps must land in the two-element classifier")
@@ -749,7 +752,6 @@ def pullback_cocategory(chi: FinMap) -> CoCategoryData:
     l = FinMap(a, q1, tuple(index[(x, uni.l.table[chi.table[x]])] for x in range(a.size)))
     r = FinMap(a, q1, tuple(index[(x, uni.r.table[chi.table[x]])] for x in range(a.size)))
     i = pi_a
-    double, triple = double_and_triple(FINSET, l, r)
 
     # A x_Omega (universal double apex), over the folded co-unit
     u2 = uni.double
@@ -762,11 +764,7 @@ def pullback_cocategory(chi: FinMap) -> CoCategoryData:
     q_tilde = FinMap(q1, p2obj, tuple(index2[(x, uni.q.table[u])] for x, u in pairs))
     alpha1 = FinMap(q1, p2obj, tuple(index2[(x, un1.table[u])] for x, u in pairs))
     alpha2 = FinMap(q1, p2obj, tuple(index2[(x, un2.table[u])] for x, u in pairs))
-    psi_inv = copair(double, alpha1, alpha2)
-    if not is_bijective(psi_inv):
-        raise InvariantViolation("double pushout does not match the pulled-back double apex")
-    q = compose(q_tilde, inverse(psi_inv))
-    return CoCategoryData(a, q1, l, r, i, q, double, triple)
+    return reassemble(FINSET, l, r, i, q_tilde, (alpha1, alpha2))
 
 
 # ---------------------------------------------------------------------------

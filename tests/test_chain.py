@@ -220,6 +220,23 @@ class TestCoinverseSystem:
         assert [m.rows for m in cls.coinverse.mats] == [0, 2, 4]
 
 
+def _from_zero(x: ChainComplex) -> ChainMap:
+    z = zero_complex(x.max_degree + 1)
+    return ChainMap(z, x, tuple(IntMatrix.zeros(r, 0) for r in x.ranks))
+
+
+# complexes of a few rank shapes, degree 0 first
+_SWEEP = [
+    ChainComplex((1, 1), (_m([[0]]),)),
+    ChainComplex((2, 1), (_m([[1], [1]]),)),
+    ChainComplex((1, 2), (_m([[1, -1]]),)),
+    ChainComplex((2, 2), (_m([[1, 0], [-1, 1]]),)),
+    ChainComplex((1, 1, 1), (_m([[0]]), _m([[1]]))),
+    ChainComplex((2, 2, 1), (_m([[1, 0], [1, 0]]), _m([[0], [1]]))),
+    ChainComplex((0, 1, 2), (IntMatrix.zeros(0, 1), _m([[1, -1]]))),
+]
+
+
 class TestTotalSpace:
     def test_interleaved_order(self):
         x = chain_example_cocategory().q1
@@ -250,6 +267,18 @@ class TestTotalSpace:
     def test_dual_total_is_internal_category(self):
         icat = transpose_dualize(total_space(chain_example_cocategory()))
         assert check_internal_category(icat).ok
+
+    def test_cokernel_pair_of_zero_into_interval(self):
+        # the summed pushout's basis is not the interleaved one, so q must be
+        # read through the comparison to come out a co-category
+        data = cokernel_pair(CH, _from_zero(chain_example_cocategory().q1))
+        assert check_cocategory(ABGP, total_space(data)).ok
+
+    @pytest.mark.parametrize("x", _SWEEP, ids=lambda x: "ranks" + "-".join(map(str, x.ranks)))
+    @pytest.mark.parametrize("zero", [True, False], ids=["from-zero", "identity"])
+    def test_cokernel_pairs_sweep(self, x, zero):
+        m = _from_zero(x) if zero else chain_identity(x)
+        assert check_cocategory(ABGP, total_space(cokernel_pair(CH, m))).ok
 
 
 class TestNerve:

@@ -1,13 +1,16 @@
-"""Generic axiom checking, classification flags, and morphism squares,
-exercised through the finite-set host."""
+"""Generic axiom checking, classification flags, morphism squares and
+reassembly, exercised through the finite-set host; the optional
+``inverse`` capability on every host."""
 
 import pytest
 
 from cocat.core import (
     CoCategoryData,
     IllFormedPushout,
+    InvariantViolation,
     PushoutWitness,
     TypeMismatch,
+    UnsupportedCapability,
     check_cocat_morphism,
     check_cocategory,
     classify,
@@ -16,7 +19,12 @@ from cocat.core import (
     cokernel_pair,
     double_and_triple,
     find_coinverse,
+    reassemble,
 )
+from cocat.abgp import ABGP, AbMap, FgAbGroup, free_group
+from cocat.chain import CH, ChainComplex, ChainMap
+from cocat.fincat import CAT, arrow_category, functor_identity
+from cocat.intmatrix import IntMatrix
 from cocat.finset import (
     FINSET,
     FinMap,
@@ -211,3 +219,55 @@ class TestCokernelPairConstruction:
     def test_empty_mono_gives_two_copies(self):
         data = cokernel_pair_cocategory(subset_mono([], FinSetObj(2)))
         assert data.q1.size == 4
+
+
+class TestReassemble:
+    def test_own_injections_leave_structure_unchanged(self, pair_example):
+        d = pair_example
+        assert reassemble(FINSET, d.l, d.r, d.i, d.q, d.double.injections) == d
+
+    def test_glued_into_larger_set_is_not_invertible(self, pair_example):
+        d = pair_example
+        incl = subset_mono(range(d.double.apex.size), FinSetObj(d.double.apex.size + 1))
+        glued = tuple(compose(nu, incl) for nu in d.double.injections)
+        with pytest.raises(InvariantViolation, match="pushout comparison is not invertible"):
+            reassemble(FINSET, d.l, d.r, d.i, compose(d.q, incl), glued)
+
+
+# two vertices and an edge from the first to the second
+_interval = ChainComplex((2, 1), (IntMatrix.from_rows([[-1], [1]]),))
+_zero_boundary = ChainComplex((1, 1), (IntMatrix.zeros(1, 1),))
+
+
+class TestInverse:
+    @pytest.mark.parametrize("cat, f", [
+        (FINSET, FinMap(FinSetObj(3), FinSetObj(3), (2, 0, 1))),
+        (ABGP, AbMap(free_group(2), free_group(2), IntMatrix.from_rows([[2, 1], [1, 1]]))),
+        # swap the vertices and reverse the edge
+        (CH, ChainMap(_interval, _interval,
+                      (IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[-1]])))),
+    ])
+    def test_two_sided(self, cat, f):
+        g = cat.inverse(f)
+        assert cat.equal(cat.compose(f, g), cat.identity(f.dom))
+        assert cat.equal(cat.compose(g, f), cat.identity(f.cod))
+
+    @pytest.mark.parametrize("cat, f", [
+        (FINSET, FinMap(FinSetObj(3), FinSetObj(3), (0, 0, 1))),
+        (ABGP, AbMap(free_group(1), free_group(1), IntMatrix.from_rows([[2]]))),
+        (ABGP, AbMap(free_group(1), free_group(2), IntMatrix.from_rows([[1], [0]]))),
+        # invertible in degree 0, determinant 2 in degree 1
+        (CH, ChainMap(_zero_boundary, _zero_boundary,
+                      (IntMatrix.identity(1), IntMatrix.from_rows([[2]])))),
+    ])
+    def test_none_off_isomorphisms(self, cat, f):
+        assert cat.inverse(f) is None
+
+    def test_abgp_torsion_unsupported(self):
+        z2 = FgAbGroup(1, IntMatrix.from_rows([[2]]))
+        with pytest.raises(UnsupportedCapability):
+            ABGP.inverse(AbMap(z2, z2, IntMatrix.identity(1)))
+
+    def test_cat_unsupported(self):
+        with pytest.raises(UnsupportedCapability):
+            CAT.inverse(functor_identity(arrow_category()))
