@@ -81,15 +81,6 @@ class FinCategory:
         ids = set(self.identities)
         return [f for f in range(self.n_morphisms) if f not in ids]
 
-    def compose(self, f: int, g: int) -> int:
-        """f then g."""
-        if self.tgt[f] != self.src[g]:
-            raise NonComposable(f"morphisms {f} and {g} are not composable")
-        h = self.table[f][g]
-        if h is None:
-            raise NonComposable(f"composition table has no entry for ({f}, {g})")
-        return h
-
 
 def check_category(c: FinCategory) -> None:
     """Raise :class:`NonComposable` on the first violated category law."""

@@ -15,8 +15,11 @@ the disjoint union, pullback elements are lexicographically ordered
 pairs.  The enumeration transports each representative's witnesses
 along a relabelling of Q1 instead of building new pushouts, and the
 transported witnesses equal the ones ``double_and_triple`` builds.
-An (l, r, i) whose legs do not cover Q1 is rejected before any
-pushout is built: the counit laws alone leave it no co-composition.
+The counit laws alone make l and r cover Q1 on every co-category, so
+an (l, r, i) whose legs do not is rejected before any pushout, and
+each map out of Q1 that the axioms fix on im(l) and im(r) is forced,
+not searched: the co-composition q, a co-inverse s, and the f1 of a
+co-category morphism given its f0.
 
 The kernel is lean but checks everything: there is one ``FinSetObj``
 per size, so objects compare by identity, and a ``FinMap`` is a
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     CategoryCapabilities,
@@ -43,6 +46,7 @@ from .core import (
     Report,
     SizeLimit,
     TypeMismatch,
+    UnsupportedCapability,
     coinverse_violation,
     cokernel_pair,
     double_and_triple,
@@ -354,12 +358,12 @@ class FinSet(CategoryCapabilities):
             yield FinMap(x, y, table)
 
     def solve_coinverse(self, data):
-        """The first co-inverse in the order of ``morphisms``, or None
-        when provably none exists.
+        """The co-inverse, or None when provably none exists.
 
-        s.l = r and s.r = l pin s on the images of l and r (a conflict
-        rules every candidate out); only the elements neither image
-        hits are searched, each over every value of Q1.
+        s.l = r and s.r = l force s on the images of l and r, which
+        cover Q1 on every co-category, so one table is checked.  Legs
+        that miss Q1 raise :class:`UnsupportedCapability`, and
+        ``core.find_coinverse`` searches ``morphisms`` instead.
         """
         q1 = data.q1
         if data.l.cod != q1 or data.r.cod != q1:
@@ -368,14 +372,10 @@ class FinSet(CategoryCapabilities):
         table = _fill_copair_table(q1.size, l, r, r, l)
         if table is None:
             return None
-        free = [z for z in range(q1.size) if table[z] is None]
-        for values in itertools.product(range(q1.size), repeat=len(free)):
-            for z, v in zip(free, values):
-                table[z] = v
-            s = FinMap(q1, q1, tuple(table))
-            if coinverse_violation(self, data, s) is None:
-                return s
-        return None
+        if None in table:
+            raise UnsupportedCapability("finset: l and r miss Q1, so s is not forced")
+        s = FinMap(q1, q1, tuple(table))
+        return s if coinverse_violation(self, data, s) is None else None
 
     def is_pushout(self, witness):
         f, g = witness.legs
@@ -647,9 +647,11 @@ def _relabellings(rep: CoCategoryData, shuffles) -> Iterator[CoCategoryData]:
 
 def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
                   i: FinMap) -> Iterator[CoCategoryData]:
-    """Every q completing (l, r, i) to a co-category.  The axioms pin q
-    on the images of l and r, the counit axioms hold pointwise, and
-    only co-associativity is tested per candidate.
+    """The q completing (l, r, i) to a co-category, if there is one.
+    The axioms q.l = nu1.l and q.r = nu2.r force q on the images of l
+    and r, which cover Q1 whenever a completion exists; the forced q is
+    tested against the counit axioms pointwise and against
+    co-associativity.
 
     A triple whose legs miss some z of Q1 is rejected before anything
     is built, by the counit laws alone.  Every apex class w of
@@ -659,28 +661,18 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     both sides, q(z) has no value, and the triple has no completion."""
     if uncovered([l, r]):
         return
-    n1 = q1.size
     double = pushout(r, l)
     nu1, nu2 = (m.table for m in double.injections)
     apex = double.apex.size
-    li = tuple(l.table[i.table[x]] for x in range(n1))
-    ri = tuple(r.table[i.table[x]] for x in range(n1))
-    idx = tuple(range(n1))
-    fold_left = _fill_copair_table(apex, nu1, nu2, li, idx)
-    fold_right = _fill_copair_table(apex, nu1, nu2, idx, ri)
-    if fold_left is None or fold_right is None:
+    idx = range(q1.size)
+    fold_left = _fill_copair_table(apex, nu1, nu2, [l.table[x] for x in i.table], idx)
+    fold_right = _fill_copair_table(apex, nu1, nu2, idx, [r.table[x] for x in i.table])
+    qt = _fill_copair_table(q1.size, l.table, r.table,
+                            [nu1[e] for e in l.table], [nu2[e] for e in r.table])
+    if fold_left is None or fold_right is None or qt is None:
         return
-
-    # axioms q.l = nu1.l and q.r = nu2.r pin q on the images of l and r
-    base = _fill_copair_table(n1, l.table, r.table,
-                              [nu1[e] for e in l.table], [nu2[e] for e in r.table])
-    if base is None:
-        return
-    # both counit axioms hold pointwise: q(z) must fold back to z on
-    # either side, so each entry ranges only over such apex elements
-    options = [[w for w in (range(apex) if base[z] is None else (base[z],))
-                if fold_left[w] == z == fold_right[w]] for z in range(n1)]
-    if not all(options):
+    # both counit axioms, pointwise: q(z) folds back to z on either side
+    if any(fold_left[w] != z or fold_right[w] != z for z, w in enumerate(qt)):
         return
 
     # only now is co-associativity worth the triple pushout
@@ -688,18 +680,12 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     t1, t2, t3 = triple.injections
     j1 = copair(double, t1, t2).table
     kappa = copair(double, t2, t3).table
-    t1t, t3t = t1.table, t3.table
-    for qt in itertools.product(*options):
-        q_then_j1 = tuple(j1[qt[x]] for x in range(n1))
-        q_then_kappa = tuple(kappa[qt[x]] for x in range(n1))
-        left_assoc = _fill_copair_table(apex, nu1, nu2, q_then_j1, t3t)
-        right_assoc = _fill_copair_table(apex, nu1, nu2, t1t, q_then_kappa)
-        if left_assoc is None or right_assoc is None:
-            continue
-        if any(left_assoc[qt[z]] != right_assoc[qt[z]] for z in range(n1)):
-            continue
-        q_map = FinMap(q1, double.apex, tuple(qt))
-        yield CoCategoryData(q0, q1, l, r, i, q_map, double, triple)
+    left_assoc = _fill_copair_table(apex, nu1, nu2, [j1[w] for w in qt], t3.table)
+    right_assoc = _fill_copair_table(apex, nu1, nu2, t1.table, [kappa[w] for w in qt])
+    if (left_assoc is None or right_assoc is None
+            or any(left_assoc[w] != right_assoc[w] for w in qt)):
+        return
+    yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, tuple(qt)), double, triple)
 
 
 def count_q_solutions(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
@@ -771,20 +757,34 @@ def pullback_cocategory(chi: FinMap) -> CoCategoryData:
 # Colax correspondence and isomorphism search
 
 
-def cocat_morphisms(src: CoCategoryData, dst: CoCategoryData,
-                    max_candidates: int = 1_000_000) -> list[tuple[FinMap, FinMap]]:
-    """All co-category morphisms src -> dst, by filtered brute force."""
+_SEARCH_CAP = 1_000_000     # the most f0 a morphism search tries
+
+
+def _forced_morphisms(src: CoCategoryData, dst: CoCategoryData,
+                      f0s: Iterable[FinMap]) -> Iterator[tuple[FinMap, FinMap]]:
+    """(f0, f1) for each f0 in ``f0s`` whose l- and r-squares agree:
+    f1.l = l'.f0 and f1.r = r'.f0 force f1 on the images of src's l and
+    r, which cover its Q1 on every co-category.  Legs that miss Q1
+    leave f1 unforced and raise :class:`UnsupportedCapability`."""
+    if uncovered([src.l, src.r]):
+        raise UnsupportedCapability("finset: l and r miss Q1, so f1 is not forced")
+    l, r, dl, dr = src.l.table, src.r.table, dst.l.table, dst.r.table
+    for f0 in f0s:
+        p0 = f0.table
+        table = _fill_copair_table(src.q1.size, l, r, [dl[x] for x in p0], [dr[x] for x in p0])
+        if table is not None:
+            yield f0, FinMap(src.q1, dst.q1, tuple(table))
+
+
+def cocat_morphisms(src: CoCategoryData, dst: CoCategoryData) -> list[tuple[FinMap, FinMap]]:
+    """All co-category morphisms src -> dst: each f0 with the f1 it forces."""
     from .core import check_cocat_morphism
 
-    space = (dst.q0.size ** src.q0.size) * (dst.q1.size ** src.q1.size)
-    if space > max_candidates:
-        raise SizeLimit(f"morphism search space {space} exceeds cap {max_candidates}")
-    found = []
-    for f0 in FINSET.morphisms(src.q0, dst.q0):
-        for f1 in FINSET.morphisms(src.q1, dst.q1):
-            if check_cocat_morphism(FINSET, src, dst, f0, f1).ok:
-                found.append((f0, f1))
-    return found
+    space = dst.q0.size ** src.q0.size
+    if space > _SEARCH_CAP:
+        raise SizeLimit(f"morphism search space {space} exceeds cap {_SEARCH_CAP}")
+    return [(f0, f1) for f0, f1 in _forced_morphisms(src, dst, FINSET.morphisms(src.q0, dst.q0))
+            if check_cocat_morphism(FINSET, src, dst, f0, f1).ok]
 
 
 def colax_maps(src: CoCategoryData, dst: CoCategoryData) -> list[FinMap]:
@@ -800,17 +800,14 @@ def colax_maps(src: CoCategoryData, dst: CoCategoryData) -> list[FinMap]:
     return out
 
 
-def verify_colax_correspondence(src: CoCategoryData, dst: CoCategoryData,
-                                max_candidates: int = 1_000_000) -> bool:
+def verify_colax_correspondence(src: CoCategoryData, dst: CoCategoryData) -> bool:
     """Does (f0, f1) -> f0 biject co-category morphisms with colax maps?"""
-    morphs = cocat_morphisms(src, dst, max_candidates=max_candidates)
+    tables = [f0.table for f0, _ in cocat_morphisms(src, dst)]
     lax = {f0.table for f0 in colax_maps(src, dst)}
-    tables = [f0.table for f0, _ in morphs]
     return len(tables) == len(set(tables)) and set(tables) == lax
 
 
-def iso_cocategories(a: CoCategoryData, b: CoCategoryData,
-                     max_candidates: int = 1_000_000, fix_q0: bool = False
+def iso_cocategories(a: CoCategoryData, b: CoCategoryData, fix_q0: bool = False
                      ) -> Optional[tuple[FinMap, FinMap]]:
     """A pair of bijections commuting with all structure, or None.
 
@@ -819,38 +816,20 @@ def iso_cocategories(a: CoCategoryData, b: CoCategoryData,
     structure is compared with its pullback along a characteristic
     map).
 
-    Given f0, the l- and r-squares force f1 on the images of a's l and
-    r; an f0 whose forced part is not injective is skipped, and only
-    the elements neither image hits are permuted.  Bijections are tried
-    in the same order as a search over all pairs, so the same pair is
-    found."""
+    Each bijection f0 forces f1 through the l- and r-squares
+    (``_forced_morphisms``), so the answer is the first bijective pair
+    over the permutations of Q0: the pair a search over all pairs of
+    bijections finds first."""
     from .core import check_cocat_morphism
 
     if a.q0.size != b.q0.size or a.q1.size != b.q1.size:
         return None
-
-    n1 = a.q1.size
-    free_count = len(uncovered([a.l, a.r]))
-    space = (1 if fix_q0 else math.factorial(a.q0.size)) * math.factorial(free_count)
-    if space > max_candidates:
-        raise SizeLimit(f"isomorphism search space {space} exceeds cap {max_candidates}")
-    base = [tuple(range(a.q0.size))] if fix_q0 else itertools.permutations(range(a.q0.size))
-    for p0 in base:
-        f0 = FinMap(a.q0, b.q0, p0)
-        # f1 . l = l' . f0 and f1 . r = r' . f0 on the images of l and r
-        table = _fill_copair_table(n1, a.l.table, a.r.table,
-                                   [b.l.table[x] for x in p0], [b.r.table[x] for x in p0])
-        if table is None:
-            continue
-        forced = [v for v in table if v is not None]
-        if len(set(forced)) != len(forced):
-            continue
-        free = [z for z in range(n1) if table[z] is None]
-        rest = [v for v in range(n1) if v not in forced]
-        for values in itertools.permutations(rest):
-            for z, v in zip(free, values):
-                table[z] = v
-            f1 = FinMap(a.q1, b.q1, tuple(table))
-            if check_cocat_morphism(FINSET, a, b, f0, f1).ok:
-                return f0, f1
+    n0 = a.q0.size
+    space = 1 if fix_q0 else math.factorial(n0)
+    if space > _SEARCH_CAP:
+        raise SizeLimit(f"isomorphism search space {space} exceeds cap {_SEARCH_CAP}")
+    perms = [tuple(range(n0))] if fix_q0 else itertools.permutations(range(n0))
+    for f0, f1 in _forced_morphisms(a, b, (FinMap(a.q0, b.q0, p0) for p0 in perms)):
+        if is_mono(f1) and check_cocat_morphism(FINSET, a, b, f0, f1).ok:
+            return f0, f1
     return None

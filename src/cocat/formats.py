@@ -194,8 +194,8 @@ class _Doc:
             except ValueError:
                 raise ParseError(f"line {lineno}: field '{name}': non-integer entry")
         try:
-            return (intmatrix.IntMatrix.from_rows(data, cols=cols) if rows
-                    else intmatrix.IntMatrix.zeros(0, cols))
+            return (intmatrix.IntMatrix.from_rows(data, cols=cols) if rows and cols
+                    else intmatrix.IntMatrix.zeros(rows, cols))
         except ValueError as exc:
             raise ParseError(f"field '{name}': {exc}")
 

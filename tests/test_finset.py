@@ -25,11 +25,13 @@ from cocat.core import (
     NotMono,
     SizeLimit,
     TypeMismatch,
+    UnsupportedCapability,
     check_cocat_morphism,
     check_cocategory,
     classify,
     coinverse_candidates,
     double_and_triple,
+    find_coinverse,
 )
 from cocat.finset import (
     FINSET,
@@ -813,10 +815,35 @@ class TestColax:
             for r in builtins:
                 assert verify_colax_correspondence(q, r)
 
+    def test_forced_morphisms_match_all_pairs(self):
+        # the oracle tries every (f0, f1) in order, without forcing f1
+        # from the l- and r-squares
+        def all_pairs(q, r):
+            return [(f0, f1) for f0 in _maps(q.q0.size, r.q0.size)
+                    for f1 in _maps(q.q1.size, r.q1.size)
+                    if check_cocat_morphism(FINSET, q, r, f0, f1).ok]
+
+        structures = list(enumerate_cocategories(2, 3)) + [
+            trivial_cocategory(),
+            cokernel_pair_cocategory(subset_mono([], FinSetObj(1))),
+            cokernel_pair_cocategory(subset_mono([0], FinSetObj(2))),
+            cokernel_pair_cocategory(subset_mono([], FinSetObj(2))),
+            universal_cocategory(),
+        ]
+        morphisms = 0
+        for q in structures:
+            for r in structures:
+                found = cocat_morphisms(q, r)
+                assert found == all_pairs(q, r)
+                morphisms += len(found)
+        assert len(structures) == 22 and morphisms > 0
+
     def test_size_limit(self):
-        q = cokernel_pair_cocategory(subset_mono([], FinSetObj(2)))
+        # f1 is forced, so the space is every f0: 8**7 > 10**6
+        q = cokernel_pair_cocategory(subset_mono([], FinSetObj(7)))
+        r = cokernel_pair_cocategory(subset_mono([], FinSetObj(8)))
         with pytest.raises(SizeLimit):
-            cocat_morphisms(q, q, max_candidates=10)
+            cocat_morphisms(q, r)
 
 
 class TestIso:
@@ -868,6 +895,13 @@ class TestIso:
         assert check_cocat_morphism(FINSET, a, b, f0, f1).ok
         assert iso_cocategories(a, b) is None
 
+    def test_size_limit(self):
+        # 10! > 10**6 permutations of Q0; over a fixed Q0 there is one
+        q = cokernel_pair_cocategory(subset_mono([], FinSetObj(10)))
+        with pytest.raises(SizeLimit):
+            iso_cocategories(q, q)
+        assert iso_cocategories(q, q, fix_q0=True) is not None
+
 
 def _hand_built(n0, n1, l, r, i, q):
     """A structure with the given tables and canonical witnesses; its
@@ -897,12 +931,13 @@ class TestSolveCoinverse:
 
     @pytest.mark.parametrize("q, has_coinverse", [((0, 0), True), ((0, 1), False)])
     def test_uncovered_element_is_searched(self, q, has_coinverse):
-        # l = r miss element 1 of Q1, so s(1) is not pinned and every
-        # value is tried; with q = (0, 1) left-cancel fails for all
+        # l = r miss element 1 of Q1, so s(1) is not forced and
+        # find_coinverse tries every map; with q = (0, 1) left-cancel
+        # fails for all
         d = _hand_built(1, 2, (0,), (0,), (0, 0), q)
         solutions, searched = coinverse_candidates(FINSET, d)
         assert searched == 4 and bool(solutions) is has_coinverse
-        s = FINSET.solve_coinverse(d)
+        s = find_coinverse(FINSET, d)
         assert s == (solutions[0] if solutions else None)
 
     def test_legs_outside_q1_are_a_type_mismatch(self):
@@ -911,3 +946,14 @@ class TestSolveCoinverse:
         with pytest.raises(TypeMismatch):
             FINSET.solve_coinverse(CoCategoryData(d.q0, d.q1, wide, d.r, d.i, d.q,
                                                   d.double, d.triple))
+
+
+def test_uncovering_legs_force_nothing():
+    # l = r miss element 1 of Q1, so neither f1 nor s is forced
+    d = _hand_built(1, 2, (0,), (0,), (0, 0), (0, 0))
+    with pytest.raises(UnsupportedCapability):
+        cocat_morphisms(d, d)
+    with pytest.raises(UnsupportedCapability):
+        iso_cocategories(d, d)
+    with pytest.raises(UnsupportedCapability):
+        FINSET.solve_coinverse(d)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocat import abgp, chain, fincat, finset
-from cocat.core import check_cocategory, classify
+from cocat.core import CoCategoryData, check_cocategory, classify, double_and_triple
 from cocat.formats import ParseError, parse_document, write_document
 
 
@@ -60,6 +60,24 @@ class TestRoundTrips:
         assert "q0-relations" in text
         _, parsed = parse_document(text)
         assert parsed == data
+
+
+    def test_empty_q0_round_trip(self):
+        # l = r: 0 -> Z^2 are 2x0 matrices, which have rows but no columns
+        from cocat.intmatrix import IntMatrix
+
+        q0, q1 = abgp.free_group(0), abgp.free_group(2)
+        zero_l = abgp.AbMap(q0, q1, IntMatrix.zeros(2, 0))
+        double, triple = double_and_triple(abgp.ABGP, zero_l, zero_l)
+        stacked = IntMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
+        data = CoCategoryData(q0, q1, zero_l, zero_l,
+                              abgp.AbMap(q1, q0, IntMatrix.zeros(0, 2)),
+                              abgp.AbMap(q1, double.apex, stacked), double, triple)
+        _, parsed = parse_document(write_document("abgp", data))
+        assert parsed == data
+        verdict = classify(abgp.ABGP, parsed)
+        assert verdict.is_cocategory and verdict.is_cogroupoid
+        assert verdict.is_copreorder is False
 
 
 class TestDiagnostics:
