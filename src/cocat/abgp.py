@@ -22,7 +22,6 @@ against the mirror-image axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -107,6 +106,11 @@ class FgAbGroup:
     def __hash__(self):
         return hash((self.rank, self.relations.data))
 
+    def __reduce__(self):
+        # unpickling and copying rebuild through the constructor, which
+        # leaves a Hermite-form relation matrix as it is
+        return FgAbGroup, (self.rank, self.relations)
+
     def __repr__(self):
         if self.is_free:
             return f"FgAbGroup(rank={self.rank})"
@@ -119,22 +123,56 @@ def free_group(rank: int) -> FgAbGroup:
     return FgAbGroup(rank)
 
 
-@dataclass(frozen=True)
 class AbMap:
-    """A homomorphism given by its matrix on generators."""
+    """A homomorphism given by its matrix on generators.
 
-    dom: FgAbGroup
-    cod: FgAbGroup
-    matrix: IntMatrix
+    Immutable.  Every construction checks, whoever builds it, that the
+    matrix is cod.rank x dom.rank and that it carries each domain
+    relator into the codomain relation lattice, raising
+    :class:`TypeMismatch` naming the first relator that fails;
+    unpickling and copying rebuild through the same checks.  Equality
+    and hashing follow (dom, cod, matrix).
+    """
 
-    def __post_init__(self):
-        if self.matrix.rows != self.cod.rank or self.matrix.cols != self.dom.rank:
+    __slots__ = ("dom", "cod", "matrix")
+
+    def __init__(self, dom: FgAbGroup, cod: FgAbGroup, matrix: IntMatrix):
+        if matrix.rows != cod.rank or matrix.cols != dom.rank:
             raise TypeMismatch(
-                f"matrix is {self.matrix.rows}x{self.matrix.cols}, expected "
-                f"{self.cod.rank}x{self.dom.rank}")
-        for j in range(self.dom.relations.cols):
-            if self.matrix.apply(self.dom.relations.col(j)) not in self.cod.lattice:
+                f"matrix is {matrix.rows}x{matrix.cols}, expected "
+                f"{cod.rank}x{dom.rank}")
+        relations = dom.relations
+        for j in range(relations.cols):
+            if matrix.apply(relations.col(j)) not in cod.lattice:
                 raise TypeMismatch(f"map does not respect domain relator {j}")
+        _set_dom(self, dom)
+        _set_cod(self, cod)
+        _set_matrix(self, matrix)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.matrix == other.matrix and self.dom == other.dom and self.cod == other.cod
+
+    def __hash__(self) -> int:
+        return hash((self.dom, self.cod, self.matrix))
+
+    def __repr__(self) -> str:
+        return f"AbMap(dom={self.dom!r}, cod={self.cod!r}, matrix={self.matrix!r})"
+
+    def __reduce__(self):
+        return AbMap, (self.dom, self.cod, self.matrix)
+
+
+# the slots' own setters get past the refusing __setattr__
+_set_dom, _set_cod, _set_matrix = (AbMap.dom.__set__, AbMap.cod.__set__,
+                                   AbMap.matrix.__set__)
 
 
 def ab_identity(obj: FgAbGroup) -> AbMap:

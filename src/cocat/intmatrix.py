@@ -19,35 +19,74 @@ Products are row-sparse: row ``i`` of ``A @ B`` is the sum of the rows
 or subtracting the row without scaling it, and a zero row of ``A``
 giving the zero row.  The integer hosts multiply mostly small matrices
 whose entries are mostly 0 and +-1, which this favours over a dense
-row-by-column sum.
+row-by-column sum.  ``identity(n)`` is one shared instance per size,
+and a product with an operand equal to the identity returns the other
+operand without multiplying: compositions with identity maps are about
+half of the products the integer hosts take.
 
 Integer systems ``M @ x = b`` are solved only against the Hermite
-form (:class:`Lattice`).  The Smith form has one routine, whose row
-and column operations update the transforms only when asked to:
-:func:`snf` returns ``(D, U, V)`` for the truncation of chain
-complexes, while :func:`cokernel` and :func:`invariant_factors` (the
-joint-epi tests of ``abgp`` and ``chain``) read the diagonal alone and
-skip the transforms.
+form (:class:`Lattice`): ``H = M @ U`` is triangular, a solve reduces
+``b`` against H to coordinates y and returns ``x = U @ y``.  A
+membership test stops after the reduction and never forms U @ y.
+The Smith form has one routine, whose row and column operations update
+the transforms only when asked to: :func:`snf` returns ``(D, U, V)``
+for the truncation of chain complexes, while :func:`cokernel` and
+:func:`invariant_factors` (the joint-epi tests of ``abgp`` and
+``chain``) read the diagonal alone and skip the transforms.  Each Smith
+step pivots on the first entry of least absolute value in row-major
+order; as no nonzero entry is below 1, the scan stops at the first
+unit it meets, which is the pivot the full scan would pick, so D, U
+and V do not depend on the shortcut.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 
-@dataclass(frozen=True)
 class IntMatrix:
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
+    """An immutable rows x cols integer matrix, stored as a tuple of row
+    tuples.
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    Every construction checks the dimensions and the shape of the data,
+    whoever builds it; unpickling and copying rebuild through the same
+    checks.  Equality and hashing follow (rows, cols, data).
+    """
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int, data: tuple[tuple[int, ...], ...]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.data) != self.rows or not set(map(len, self.data)) <= {self.cols}:
+        if len(data) != rows:
             raise ValueError("ragged or mismatched matrix data")
+        for row in data:
+            if len(row) != cols:
+                raise ValueError("ragged or mismatched matrix data")
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_data(self, data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data and self.rows == other.rows and self.cols == other.cols
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.data))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, data={self.data!r})"
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows, self.cols, self.data)
 
     # -- constructors ---------------------------------------------------
 
@@ -60,11 +99,12 @@ class IntMatrix:
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in cols]
+        cols = [tuple(map(int, c)) for c in cols]
         if rows is None:
             rows = len(cols[0]) if cols else 0
-        return cls(rows, len(cols),
-                   tuple(tuple(c[i] for c in cols) for i in range(rows)))
+        if any(len(c) != rows for c in cols):
+            raise ValueError("ragged or mismatched matrix data")
+        return cls(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -72,7 +112,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        """The n x n identity, one shared instance per size."""
+        eye = _IDENTITIES.get(n)
+        if eye is None:
+            # a negative n raises here and is never interned
+            eye = _IDENTITIES.setdefault(n, cls(n, n, tuple(
+                tuple(1 if i == j else 0 for j in range(n)) for i in range(n))))
+        return eye
 
     # -- views ----------------------------------------------------------
 
@@ -101,14 +147,25 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        # an identity operand leaves the other one (module docstring)
+        n = self.cols
+        eye = _IDENTITIES.get(n) or IntMatrix.identity(n)
+        if self is eye or (self.rows == n and self.data == eye.data):
+            return other
+        if other is eye or (other.cols == n and other.data == eye.data):
+            return self
         # row-sparse (module docstring): sum the rows of ``other`` picked
         # out by the nonzero entries of each row
         zero = (0,) * other.cols
+        odata = other.data
         out = []
         for row in self.data:
             acc = None
-            for a, o in zip(row, other.data):
+            # indexing beats zip here: most entries are 0 and skip the row
+            k = 0
+            for a in row:
                 if a:
+                    o = odata[k]
                     if acc is None:
                         acc = o if a == 1 else tuple([a * y for y in o])
                     elif a == 1:
@@ -117,6 +174,7 @@ class IntMatrix:
                         acc = tuple(map(sub, acc, o))
                     else:
                         acc = tuple([x + a * y for x, y in zip(acc, o)])
+                k += 1
             out.append(zero if acc is None else acc)
         return IntMatrix(self.rows, other.cols, tuple(out))
 
@@ -142,6 +200,15 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(sum(map(mul, row, vec)) for row in self.data)
+
+
+# the slots' own setters get past the refusing __setattr__, and are
+# cheaper than object.__setattr__ on this hot path
+_set_rows, _set_cols, _set_data = (IntMatrix.rows.__set__, IntMatrix.cols.__set__,
+                                   IntMatrix.data.__set__)
+
+# IntMatrix.identity's instances by size
+_IDENTITIES: dict[int, IntMatrix] = {}
 
 
 def hstack(*ms: IntMatrix) -> IntMatrix:
@@ -270,50 +337,69 @@ class Lattice:
     def __init__(self, m: IntMatrix):
         self._h, self._u, self._pivots = _hnf(m)
 
-    def solve(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """An integer x with ``m @ x = vec``, or None when the vector is
-        not in the lattice."""
+    def _coordinates(self, vec: Sequence[int]) -> Optional[list[int]]:
+        """The y with ``H @ y = vec``, or None when the vector is not in
+        the lattice."""
         h = self._h
         if len(vec) != h.rows:
             raise ValueError("vector length mismatch")
+        data = h.data
         v = list(vec)
         y = [0] * h.cols
         for prow, pcol in self._pivots:
-            p = h.data[prow][pcol]
+            p = data[prow][pcol]
             if v[prow] % p != 0:
                 return None
             c = y[pcol] = v[prow] // p
             if c:
                 for i in range(prow, h.rows):
-                    v[i] -= c * h.data[i][pcol]
-        if any(v):
-            return None
+                    v[i] -= c * data[i][pcol]
+        return None if any(v) else y
+
+    def solve(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """An integer x with ``m @ x = vec``, or None when the vector is
+        not in the lattice."""
+        y = self._coordinates(vec)
         # m @ U = H, so x = U @ y
-        return self._u.apply(y)
+        return None if y is None else self._u.apply(y)
 
     def __contains__(self, vec: Sequence[int]) -> bool:
-        return self.solve(vec) is not None
+        return self._coordinates(vec) is not None
 
     def contains_all_columns(self, m: IntMatrix) -> bool:
-        return all(m.col(j) in self for j in range(m.cols))
+        if m.rows != self._h.rows:
+            raise ValueError("row count mismatch")
+        # zip of no rows yields no columns, and the empty vector is in
+        # the lattice of Z^0 anyway
+        return all(self._coordinates(c) is not None for c in zip(*m.data))
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
-def _clear_position(rws, cws, t: int) -> None:
+def _clear_position(rws, cws, t: int) -> bool:
+    """Move a pivot to (t, t) and clear its row and column; False when
+    the remaining block is zero and there is no pivot."""
     a = rws[0]
     rows, cols = len(a), len(a[0]) if a else 0
     while True:
-        # choose the smallest nonzero entry of the remaining block as pivot
+        # the first entry of least absolute value, in row-major order, of
+        # the remaining block; none is below 1, so a unit ends the scan
         best = None
+        least = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < least):
+                    best, least = (i, j), abs(x)
+                    if least == 1:
+                        break
+            if least == 1:
+                break
         if best is None:
-            return
+            return False
         if best[0] != t:
             _row_swap(rws, best[0], t)
         if best[1] != t:
@@ -334,7 +420,7 @@ def _clear_position(rws, cws, t: int) -> None:
                 if a[t][j] != 0:
                     dirty = True
         if not dirty:
-            return
+            return True
 
 
 def _fix_divisibility(rws, cws, k: int) -> None:
@@ -371,10 +457,7 @@ def _smith(m: IntMatrix, transforms: bool):
         cws.append(v)
     n = min(m.rows, m.cols)
     t = 0
-    while t < n:
-        if all(a[i][j] == 0 for i in range(t, m.rows) for j in range(t, m.cols)):
-            break
-        _clear_position(rws, cws, t)
+    while t < n and _clear_position(rws, cws, t):
         t += 1
     r = t
     for k in range(r):

@@ -1,6 +1,8 @@
 """Group presentations, pushout/pullback contracts, the explicit
 counterexample with its frozen matrices, and transpose dualisation."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -178,6 +180,76 @@ class TestFreeGroupInstances:
             assert free_group(n) == FgAbGroup(n)
         assert free_group(1) != free_group(2)
         assert FgAbGroup(1, _m([[2]])) != free_group(1)
+
+
+class TestAbMapValue:
+    """AbMap is slotted and immutable; equality, hash and repr follow
+    (dom, cod, matrix), and pickle and copy rebuild through the checks."""
+
+    @staticmethod
+    def _torsion_map():
+        # Z/2 -> Z/4, x -> 6x: the relator 2 goes to 12, in 4Z
+        return AbMap(FgAbGroup(1, _m([[2]])), FgAbGroup(1, _m([[4]])), _m([[6]]))
+
+    def test_attributes_cannot_be_set(self):
+        f = self._torsion_map()
+        for name in ("dom", "cod", "matrix", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, None)
+        for name in ("dom", "matrix"):
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert f.matrix == _m([[6]])
+
+    def test_equality_and_hash_follow_the_fields(self):
+        z1, z2 = free_group(1), free_group(2)
+        f = AbMap(z1, z2, _m([[1], [2]]))
+        same = AbMap(FgAbGroup(1), FgAbGroup(2), _m([[1], [2]]))
+        assert f == same and not f != same
+        assert hash(f) == hash(same) == hash((z1, z2, _m([[1], [2]])))
+        z_mod_2 = FgAbGroup(1, _m([[2]]))
+        for other in (AbMap(z1, z2, _m([[1], [3]])), AbMap(z1, z_mod_2, _m([[1]])),
+                      AbMap(z_mod_2, z2, _m([[0], [0]]))):
+            assert f != other and not f == other
+        # equal as maps into Z/2, not as values
+        assert ab_equal(AbMap(z1, z_mod_2, _m([[1]])), AbMap(z1, z_mod_2, _m([[3]])))
+        assert AbMap(z1, z_mod_2, _m([[1]])) != AbMap(z1, z_mod_2, _m([[3]]))
+        assert f != (z1, z2, f.matrix)
+        assert len({f, same, AbMap(z1, z2, _m([[2], [1]]))}) == 2
+        assert repr(f) == ("AbMap(dom=FgAbGroup(rank=1), cod=FgAbGroup(rank=2), "
+                           "matrix=IntMatrix(rows=2, cols=1, data=((1,), (2,))))")
+
+    def test_pickle_and_copy_round_trip(self):
+        for f in (self._torsion_map(), ab_identity(free_group(3)),
+                  AbMap(free_group(0), free_group(2), IntMatrix.zeros(2, 0))):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(f, protocol))
+                assert back == f and back.__class__ is AbMap
+            for back in (copy.deepcopy(f), copy.copy(f)):
+                assert back == f
+
+    def test_every_relator_checked(self):
+        # Z/2 + Z/3 -> Z: (0, 1) sends the first relator to 0 and the
+        # second to 3, outside the trivial lattice
+        dom = FgAbGroup(2, _m([[2, 0], [0, 3]]))
+        AbMap(dom, FgAbGroup(1, _m([[3]])), _m([[3, 1]]))
+        with pytest.raises(TypeMismatch, match="relator 1"):
+            AbMap(dom, free_group(1), _m([[0, 1]]))
+
+    def test_tampered_matrix_rejected_on_load(self):
+        f = self._torsion_map()
+        # protocol 0 writes each small int as I<digits>; 6 occurs once,
+        # and x -> 3x sends the relator 2 to 6, outside 4Z
+        text = pickle.dumps(f, 0)
+        assert text.count(b"I6\n") == 1
+        with pytest.raises(TypeMismatch, match="relator 0"):
+            pickle.loads(text.replace(b"I6\n", b"I3\n"))
+        # deepcopy takes a copy from the memo: hand it the bad matrix
+        with pytest.raises(TypeMismatch, match="relator 0"):
+            copy.deepcopy(f, {id(f.matrix): _m([[3]])})
+        # a matrix of the wrong shape
+        with pytest.raises(TypeMismatch):
+            copy.deepcopy(f, {id(f.matrix): _m([[6, 0]])})
 
 
 class TestAbEqual:

@@ -1,10 +1,14 @@
 """Normal-form postconditions, solver certificates, and a cross-check
 against an independent implementation."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocat import intmatrix
 from cocat.intmatrix import (
     IntMatrix,
     Lattice,
@@ -298,3 +302,212 @@ class TestArithmetic:
         assert invert_unimodular(IntMatrix.identity(4)) == IntMatrix.identity(4)
         with pytest.raises(ValueError):
             invert_unimodular(_mat([[1, 0], [0, 2]]))
+
+
+class TestValue:
+    """IntMatrix is slotted and immutable; equality, hash and repr follow
+    (rows, cols, data), and pickle and copy rebuild through the checks."""
+
+    def test_attributes_cannot_be_set(self):
+        m = _mat([[1, 2], [3, 4]])
+        for name in ("rows", "cols", "data", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 0)
+        for name in ("rows", "data"):
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert (m.rows, m.cols, m.data) == (2, 2, ((1, 2), (3, 4)))
+
+    def test_equality_and_hash_follow_the_fields(self):
+        m = _mat([[1, 2], [3, 4]])
+        same = IntMatrix(2, 2, ((1, 2), (3, 4)))
+        assert m == same and not m != same
+        assert hash(m) == hash(same) == hash((2, 2, ((1, 2), (3, 4))))
+        # no rows: the data agree, the column counts tell them apart
+        assert IntMatrix.zeros(0, 2) != IntMatrix.zeros(0, 3)
+        for other in (_mat([[1, 2], [3, 5]]), _mat([[1, 2]]), IntMatrix.identity(2)):
+            assert m != other and not m == other
+        assert m != (2, 2, ((1, 2), (3, 4)))
+        assert len({m, same, _mat([[4, 3], [2, 1]])}) == 2
+        assert repr(m) == "IntMatrix(rows=2, cols=2, data=((1, 2), (3, 4)))"
+
+    def test_pickle_and_copy_round_trip(self):
+        for m in (_mat([[1, -2, 3], [4, 5, 6]]), IntMatrix.zeros(0, 3), IntMatrix.zeros(2, 0)):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(m, protocol))
+                assert back == m and back.__class__ is IntMatrix
+            for back in (copy.deepcopy(m), copy.copy(m)):
+                assert back == m
+
+    def test_tampered_data_rejected_on_load(self):
+        m = IntMatrix(2, 3, ((1, 2, 3), (4, 5, 6)))
+        # protocol 0 writes each small int as I<digits>; dropping 6
+        # leaves the second row short
+        text = pickle.dumps(m, 0)
+        assert text.count(b"I6\n") == 1
+        with pytest.raises(ValueError):
+            pickle.loads(text.replace(b"I6\n", b""))
+        # deepcopy takes a copy from the memo: hand it a ragged row
+        with pytest.raises(ValueError):
+            copy.deepcopy(m, {id(m.data): ((1, 2, 3), (4, 5))})
+
+    def test_one_identity_per_size(self):
+        for n in range(5):
+            assert IntMatrix.identity(n) is IntMatrix.identity(n)
+            assert IntMatrix.identity(n) == IntMatrix.from_rows(
+                [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                IntMatrix.identity(-1)
+        assert -1 not in intmatrix._IDENTITIES
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_identity_products_match_naive_loop(self, data):
+        def naive(x, y):
+            return tuple(tuple(sum(x.data[i][t] * y.data[t][j] for t in range(x.cols))
+                               for j in range(y.cols)) for i in range(x.rows))
+
+        # every size 0-4, 0x0 included, against the shared instance and
+        # an equal matrix built apart from it
+        for n in range(5):
+            eye = IntMatrix.identity(n)
+            equal = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)],
+                                        cols=n)
+            for k in range(5):
+                a, b = _shaped(data.draw, k, n), _shaped(data.draw, n, k)
+                for ident in (eye, equal):
+                    for left, right in ((ident, b), (a, ident), (ident, ident)):
+                        prod = left @ right
+                        assert (prod.rows, prod.cols) == (left.rows, right.cols)
+                        assert prod.data == naive(left, right)
+                # no product is formed: the result is an operand (the
+                # identity itself when a equals it too)
+                assert eye @ b is b and any(a @ eye is x for x in (a, eye))
+
+
+class TestFromCols:
+    def test_columns_become_columns(self):
+        m = IntMatrix.from_cols([(1, 2, 3), (4, 5, 6)])
+        assert m == _mat([[1, 4], [2, 5], [3, 6]])
+        assert IntMatrix.from_cols([], rows=2) == IntMatrix.zeros(2, 0)
+        assert IntMatrix.from_cols([(), ()]) == IntMatrix.zeros(0, 2)
+
+    def test_wrong_column_lengths_rejected(self):
+        for cols, rows in (([(1, 2, 3)], 2), ([(1, 2), (3,)], None), ([(1,)], 0),
+                           ([(), (1,)], None)):
+            with pytest.raises(ValueError, match="ragged or mismatched matrix data"):
+                IntMatrix.from_cols(cols, rows=rows)
+
+
+class TestMembership:
+    @given(matrices, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contains_matches_solve(self, m, data):
+        # lattice points, and lattice points moved off by a small vector
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=m.cols, max_size=m.cols))
+        e = data.draw(st.lists(st.integers(-1, 1), min_size=m.rows, max_size=m.rows))
+        lattice = Lattice(m)
+        for v in (m.apply(x), tuple(a + b for a, b in zip(m.apply(x), e))):
+            sol = lattice.solve(v)
+            assert (v in lattice) == (sol is not None)
+            if sol is not None:
+                assert m.apply(sol) == v
+
+    @given(matrices, matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_contains_all_columns_is_columnwise(self, m, other):
+        if other.rows != m.rows:
+            other = IntMatrix.zeros(m.rows, other.cols)
+        both = hstack(m, other)
+        assert Lattice(m).contains_all_columns(both) == all(
+            both.col(j) in Lattice(m) for j in range(both.cols))
+
+    def test_row_count_checked_first(self):
+        lattice = Lattice(IntMatrix.identity(2))
+        for m in (IntMatrix.zeros(3, 0), IntMatrix.zeros(1, 0), IntMatrix.zeros(3, 1)):
+            with pytest.raises(ValueError):
+                lattice.contains_all_columns(m)
+        assert lattice.contains_all_columns(IntMatrix.zeros(2, 0))
+        assert Lattice(IntMatrix.zeros(0, 1)).contains_all_columns(IntMatrix.zeros(0, 2))
+
+
+def _full_scan_snf(m):
+    """The Smith reduction as it was before the unit-pivot stop: every
+    step scans the whole remaining block for the first entry of least
+    absolute value, after a separate scan that ends the reduction on an
+    all-zero block."""
+    a = [list(r) for r in m.data]
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    v = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    rws, cws = [a, u], [a, v]
+
+    def clear(t):
+        while True:
+            best = None
+            for i in range(t, m.rows):
+                for j in range(t, m.cols):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                return
+            if best[0] != t:
+                intmatrix._row_swap(rws, best[0], t)
+            if best[1] != t:
+                intmatrix._col_swap(cws, best[1], t)
+            dirty = False
+            for i in range(t + 1, m.rows):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        intmatrix._row_addmul(rws, i, t, -q)
+                    dirty = dirty or a[i][t] != 0
+            for j in range(t + 1, m.cols):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        intmatrix._col_addmul(cws, j, t, -q)
+                    dirty = dirty or a[t][j] != 0
+            if not dirty:
+                return
+
+    t = 0
+    while t < min(m.rows, m.cols):
+        if all(a[i][j] == 0 for i in range(t, m.rows) for j in range(t, m.cols)):
+            break
+        clear(t)
+        t += 1
+    for k in range(t):
+        if a[k][k] < 0:
+            intmatrix._row_negate(rws, k)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(t - 1):
+            if a[k + 1][k + 1] % a[k][k] != 0:
+                intmatrix._fix_divisibility(rws, cws, k)
+                changed = True
+        for k in range(t):
+            if a[k][k] < 0:
+                intmatrix._row_negate(rws, k)
+    return (IntMatrix.from_rows(a, m.cols), IntMatrix.from_rows(u, m.rows),
+            IntMatrix.from_rows(v, m.cols))
+
+
+small_matrices = st.integers(0, 5).flatmap(
+    lambda r: st.integers(0, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-3, 3), min_size=c, max_size=c),
+            min_size=r, max_size=r,
+        ).map(lambda rows: IntMatrix.from_rows(rows, cols=c))
+    )
+)
+
+
+class TestUnitPivot:
+    @given(small_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_snf_matches_full_scan(self, m):
+        assert snf(m) == _full_scan_snf(m)
+        assert invariant_factors(m) == tuple(
+            x for x in diagonal(_full_scan_snf(m)[0]) if x)
