@@ -23,7 +23,7 @@ against the mirror-image axioms.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     CategoryCapabilities,
@@ -39,6 +39,7 @@ from .core import (
     Report,
     TypeMismatch,
     UnsupportedCapability,
+    coinverse_violation,
     double_and_triple,
     reassemble,
 )
@@ -92,9 +93,6 @@ class FgAbGroup:
     @property
     def is_free(self) -> bool:
         return self.relations.cols == 0
-
-    def element_equal(self, x: Sequence[int], y: Sequence[int]) -> bool:
-        return tuple(a - b for a, b in zip(x, y)) in self.lattice
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -261,40 +259,6 @@ def _copair_matrix(witness: PushoutWitness, u: IntMatrix, v: IntMatrix) -> IntMa
     return IntMatrix(u.rows, len(kept), rows)
 
 
-def coinverse_equation(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
-                       i: IntMatrix, q: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """The four co-inverse identities s.l = r, s.r = l, [1,s].q = l.i and
-    [s,1].q = r.i as one matrix equation ``s @ A = B``, with
-    ``A = [l | r | q_b | q_a]`` and ``B = [r | l | l.i - q_a | r.i - q_b]``;
-    ``double`` is the pushout witness q lands in.
-
-    Through the witness [u, v].q = u.qa + v.qb, where qa and qb are q
-    read at the kept generators of each summand, so [1,s].q = l.i is
-    s.qb = l.i - qa and [s,1].q = r.i is s.qa = r.i - qb.
-    """
-    eye = IntMatrix.identity(l.rows)
-    zero = IntMatrix.zeros(l.rows, l.rows)
-    qa = _copair_matrix(double, eye, zero) @ q
-    qb = _copair_matrix(double, zero, eye) @ q
-    return hstack(l, r, qb, qa), hstack(r, l, l @ i - qa, r @ i - qb)
-
-
-def solve_coinverse_equation(double: PushoutWitness, l: IntMatrix, r: IntMatrix,
-                             i: IntMatrix, q: IntMatrix) -> Optional[IntMatrix]:
-    """A co-inverse matrix s with ``s @ A = B`` (:func:`coinverse_equation`),
-    or None when there is none.
-
-    Row p of s solves ``A^T @ x = B[p]^T``, so one Hermite form of A^T
-    serves every row.  On a co-category A has a trivial left kernel, so
-    the solution is unique: if ``s @ A = 0`` then ``s @ l = 0`` and
-    ``s @ q_b = 0``, so the left co-unit law ``l.i.q_a + q_b = 1``
-    gives ``s = s @ l.i.q_a + s @ q_b = 0``.
-    """
-    a, b = coinverse_equation(double, l, r, i, q)
-    s_transposed = solve_matrix(a.transpose(), b.transpose())
-    return None if s_transposed is None else s_transposed.transpose()
-
-
 class AbGp(CategoryCapabilities):
     name = "abgp"
 
@@ -373,14 +337,19 @@ class AbGp(CategoryCapabilities):
             return False, {"cokernel_invariant_factors": factors}
         return True, None
 
-    def solve_coinverse(self, data: CoCategoryData) -> Optional[AbMap]:
-        """:func:`solve_coinverse_equation` on the structure matrices.
-        Needs free groups so that equality is strict."""
-        if not (data.q0.is_free and data.q1.is_free and data.double.apex.is_free):
-            raise UnsupportedCapability("co-inverse solving needs free groups")
-        s = solve_coinverse_equation(data.double, data.l.matrix, data.r.matrix,
-                                     data.i.matrix, data.q.matrix)
-        return None if s is None else AbMap(data.q1, data.q1, s)
+    def solve_coinverse(self, data: CoCategoryData) -> AbMap:
+        """s = l.i + r.i - 1 (l.i is "i, then l").  The counit laws force
+        q = nu1 + nu2 - nu1.r.i, and i.l = i.r = 1, so on a co-category:
+          s.l = l + r - l = r, and s.r = l likewise;
+          [1, s].q = 1 + s - r.i = l.i;
+          [s, 1].q = s + 1 - s.r.i = s + 1 - l.i = r.i.
+        Off a co-category a failed identity raises :class:`UnsupportedCapability`."""
+        l, r, i = data.l.matrix, data.r.matrix, data.i.matrix
+        s = AbMap(data.q1, data.q1, (l + r) @ i - IntMatrix.identity(data.q1.rank))
+        violation = coinverse_violation(self, data, s)
+        if violation is not None:
+            raise UnsupportedCapability(f"abgp: s = l.i + r.i - 1 violates {violation}")
+        return s
 
     def inverse(self, f: AbMap) -> Optional[AbMap]:
         """Through :func:`invert_unimodular` between free groups; None

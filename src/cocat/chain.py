@@ -2,9 +2,9 @@
 
 A complex stores one rank per degree and one boundary matrix per
 positive degree; the zero-square law is checked at construction.
-Chain maps must commute with the boundaries degreewise (also checked),
-and the host-category operations (pushout, copairing, co-inverse
-solving) delegate degreewise to the abelian-group engine.
+Chain maps must commute with the boundaries degreewise (also checked).
+Pushouts and copairings delegate degreewise to the abelian-group
+engine; the co-inverse is s = l.i + r.i - 1, degree by degree.
 
 The module also hosts three showpieces:
 
@@ -34,11 +34,12 @@ from .core import (
     PushoutWitness,
     TypeMismatch,
     UnsupportedCapability,
+    coinverse_violation,
     double_and_triple,
     reassemble,
 )
 from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf
-from .abgp import ABGP, AbMap, FgAbGroup, free_group, solve_coinverse_equation
+from .abgp import ABGP, AbMap, FgAbGroup, free_group
 from .fincat import FinCategory, FunctorData
 
 
@@ -193,30 +194,21 @@ class Ch(CategoryCapabilities):
                 return False, {"degree": d, "cokernel_invariant_factors": factors}
         return True, None
 
-    def solve_coinverse(self, data: CoCategoryData) -> Optional[ChainMap]:
-        """Degree by degree through :func:`abgp.solve_coinverse_equation`,
-        with that degree's pushout witness; None as soon as a degree has
-        no solution.
-
-        The boundary squares s_{d-1}.diff(d) = diff(d).s_d need no
-        solving on a co-category.  In degree d the identities read
-        ``s_d @ A_d = B_d`` with ``A_d = [l | r | q_b | q_a]``, and the
-        left co-unit law ``l.i.q_a + q_b = 1`` gives A_d a trivial left
-        kernel: ``X @ A_d = 0`` forces ``X = X @ (l.i.q_a + q_b) = 0``.
-        Both sides of square d solve ``X @ A_d = diff(d) @ B_d``, since
-        l, r, i and q are chain maps, so they agree, and the ``ChainMap``
-        constructor only checks them.  Off a co-category that check may
-        raise :class:`TypeMismatch`."""
-        if data.double.payload is None or "degrees" not in data.double.payload:
-            raise UnsupportedCapability("double witness lacks degreewise bookkeeping")
-        mats = []
-        for parts in zip(data.double.payload["degrees"], data.l.mats, data.r.mats,
-                         data.i.mats, data.q.mats):
-            s = solve_coinverse_equation(*parts)
-            if s is None:
-                return None
-            mats.append(s)
-        return ChainMap(data.q1, data.q1, tuple(mats))
+    def solve_coinverse(self, data: CoCategoryData) -> ChainMap:
+        """s = l.i + r.i - 1 in each degree (l.i is "i, then l"), a sum of
+        chain maps.  The counit laws force q = nu1 + nu2 - nu1.r.i, and
+        i.l = i.r = 1, so on a co-category:
+          s.l = l + r - l = r, and s.r = l likewise;
+          [1, s].q = 1 + s - r.i = l.i;
+          [s, 1].q = s + 1 - s.r.i = s + 1 - l.i = r.i.
+        Off a co-category a failed identity raises :class:`UnsupportedCapability`."""
+        s = ChainMap(data.q1, data.q1, tuple(
+            (l + r) @ i - IntMatrix.identity(n)
+            for n, l, r, i in zip(data.q1.ranks, data.l.mats, data.r.mats, data.i.mats)))
+        violation = coinverse_violation(self, data, s)
+        if violation is not None:
+            raise UnsupportedCapability(f"chain: s = l.i + r.i - 1 violates {violation}")
+        return s
 
     def inverse(self, f: ChainMap) -> Optional[ChainMap]:
         """Degree by degree through :func:`invert_unimodular`; None when

@@ -28,6 +28,7 @@ from cocat.intmatrix import IntMatrix
 from cocat.finset import (
     FINSET,
     FinMap,
+    FinSet,
     FinSetObj,
     cokernel_pair_cocategory,
     compose,
@@ -133,6 +134,14 @@ class TestClassify:
         if cls.is_coequivalence:
             assert cls.is_copreorder and cls.is_cogroupoid
 
+    def test_undecided_copreorder_leaves_coequivalence_undecided(self, pair_example):
+        class NoJointEpi(FinSet):
+            def joint_epi_status(self, maps):
+                raise UnsupportedCapability("no joint-epi test")
+
+        cls = classify(NoJointEpi(), pair_example)
+        assert (cls.is_copreorder, cls.is_cogroupoid, cls.is_coequivalence) == (None, True, None)
+
     def test_not_cocategory(self, pair_example):
         d = pair_example
         bad_q = FinMap(d.q1, d.double.apex, (0,) * d.q1.size)
@@ -192,6 +201,18 @@ class TestMorphisms:
         rep = check_cocat_morphism(FINSET, data, data, f0, f1)
         assert not rep.ok
         assert rep.failures == ("q-square",)
+
+    @pytest.mark.parametrize("wrong", ["f0-cod", "f0-dom", "f1-cod", "f1-dom"])
+    def test_one_wrong_end_rejected(self, pair_example, wrong):
+        d = pair_example
+        other = FinSetObj(1)
+        maps = {"f0": identity(d.q0), "f1": identity(d.q1)}
+        name, end = wrong.split("-")
+        obj = maps[name].dom
+        maps[name] = (FinMap(obj, other, (0,) * obj.size) if end == "cod"
+                      else FinMap(other, obj, (0,)))
+        with pytest.raises(TypeMismatch, match=f"{name} must map"):
+            check_cocat_morphism(FINSET, d, d, maps["f0"], maps["f1"])
 
     def test_named_failures(self, pair_example):
         d = pair_example
