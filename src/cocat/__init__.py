@@ -12,8 +12,6 @@ from .core import (
     Classification,
     CoCategoryData,
     CocatError,
-    InternalCategoryData,
-    PullbackWitness,
     PushoutWitness,
     Report,
     check_cocat_morphism,
@@ -30,8 +28,6 @@ __all__ = [
     "Classification",
     "CoCategoryData",
     "CocatError",
-    "InternalCategoryData",
-    "PullbackWitness",
     "PushoutWitness",
     "Report",
     "check_cocat_morphism",

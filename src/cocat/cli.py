@@ -141,7 +141,7 @@ def _verify_abgp(report: Report) -> None:
     report.add("coinverse-matches", cls.coinverse is not None
                and cls.coinverse.matrix == abgp.EXAMPLE_S)
     icat = abgp.transpose_dualize(data)
-    irep = abgp.check_internal_category(icat)
+    irep = check_cocategory(core.Op(abgp.ABGP), icat)
     report.add("transposed-internal-category", irep.ok,
                ", ".join(irep.failures) or None)
     back = abgp.transpose_internal(icat)

@@ -12,7 +12,10 @@ data containers, the axiom checker, the classification cascade
 (co-preorder / co-groupoid / co-equivalence relation) and the generic
 constructions that only need the :class:`CategoryCapabilities`
 interface, which each host engine (finite sets, abelian groups, chain
-complexes, finite categories) implements.
+complexes, finite categories) implements.  An internal category is a
+co-category in the opposite host, :class:`Op`, whose pushouts and
+copairings are the base's pullbacks and pairings, so the one checker
+serves both directions of the duality.
 
 Conventions used throughout the package:
 
@@ -52,10 +55,6 @@ class IllFormedPushout(CocatError):
 
 class CoconeMismatch(CocatError):
     """The two legs of a candidate cocone disagree, so no copairing exists."""
-
-
-class ConeMismatch(CocatError):
-    """A candidate cone does not factor through the pullback apex."""
 
 
 class NotMono(CocatError):
@@ -102,16 +101,6 @@ class PushoutWitness:
 
 
 @dataclass(frozen=True)
-class PullbackWitness:
-    """A pullback apex with its projections and the cospan legs."""
-
-    apex: Any
-    projections: tuple
-    legs: tuple
-    payload: Any = field(default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class CoCategoryData:
     """The six-fold co-category structure plus its pushout witnesses.
 
@@ -128,25 +117,6 @@ class CoCategoryData:
     q: Any
     double: PushoutWitness
     triple: PushoutWitness
-
-
-@dataclass(frozen=True)
-class InternalCategoryData:
-    """An internal category: the arrow-reversed sibling of CoCategoryData.
-
-    ``double`` is the pullback of composable pairs with projections
-    pi1, pi2 over the cospan ``C1 -tgt-> C0 <-src- C1``; ``comp`` maps
-    its apex to ``C1``.
-    """
-
-    c0: Any
-    c1: Any
-    src: Any
-    tgt: Any
-    unit: Any
-    comp: Any
-    double: PullbackWitness
-    triple: PullbackWitness
 
 
 @dataclass(frozen=True)
@@ -203,10 +173,11 @@ class CategoryCapabilities:
 
     Required: ``equal``, ``compose``, ``identity``, ``pushout`` and
     ``copair``.  Everything else (``joint_epi_status``, ``morphisms``,
-    ``solve_coinverse``, ``inverse``, ``is_pushout``) is optional; the
-    defaults raise :class:`UnsupportedCapability` (``is_pushout``
-    returns ``None``, "untestable"), and generic code degrades
-    accordingly.
+    ``solve_coinverse``, ``inverse``, ``is_pushout``, and ``pullback``,
+    ``pair`` and ``joint_mono_status``, which :class:`Op` reads as its
+    pushouts, copairings and joint-epi test) is optional; the defaults
+    raise :class:`UnsupportedCapability` (``is_pushout`` returns
+    ``None``, "untestable"), and generic code degrades accordingly.
     """
 
     name = "abstract"
@@ -246,7 +217,11 @@ class CategoryCapabilities:
         raise UnsupportedCapability(f"{self.name}: morphism enumeration")
 
     def solve_coinverse(self, data: CoCategoryData):
-        """Solve directly for a co-inverse; None means provably none."""
+        """Solve directly for a co-inverse; None means provably none.
+
+        A returned s has passed :func:`coinverse_violation`, which
+        :func:`find_coinverse` therefore does not repeat.
+        """
         raise UnsupportedCapability(f"{self.name}: co-inverse solving")
 
     def inverse(self, f):
@@ -256,6 +231,66 @@ class CategoryCapabilities:
     def is_pushout(self, witness: PushoutWitness) -> Optional[bool]:
         """Whether the witness really is a pushout; None = untestable."""
         return None
+
+    def pullback(self, f, g):
+        """(apex, p1, p2): the pullback of ``dom(f) -f-> cod <-g- dom(g)``."""
+        raise UnsupportedCapability(f"{self.name}: pullbacks")
+
+    def pair(self, projections, u, v):
+        """Factor the cone (u, v) through the pullback with these two
+        projections; None when it does not factor."""
+        raise UnsupportedCapability(f"{self.name}: pairing")
+
+    def joint_mono_status(self, maps) -> tuple[Optional[bool], Any]:
+        """(True/False/None, witness) for "the family is jointly mono"."""
+        raise UnsupportedCapability(f"{self.name}: joint monomorphy test")
+
+
+@dataclass(frozen=True)
+class OpMap:
+    """A base morphism read in the opposite category: dom and cod swap."""
+
+    base: Any
+
+    @property
+    def dom(self):
+        return self.base.cod
+
+    @property
+    def cod(self):
+        return self.base.dom
+
+
+class Op(CategoryCapabilities):
+    """The opposite of a host.  A co-category here is an internal
+    category in the base, so :func:`check_cocategory` checks both."""
+
+    def __init__(self, base: CategoryCapabilities):
+        self.base = base
+        self.name = f"{base.name}^op"
+
+    def equal(self, f, g):
+        return self.base.equal(f.base, g.base)
+
+    def compose(self, f, g):
+        return OpMap(self.base.compose(g.base, f.base))
+
+    def identity(self, obj):
+        return OpMap(self.base.identity(obj))
+
+    def pushout(self, f, g) -> PushoutWitness:
+        apex, p1, p2 = self.base.pullback(f.base, g.base)
+        return PushoutWitness(apex=apex, injections=(OpMap(p1), OpMap(p2)), legs=(f, g))
+
+    def copair(self, witness: PushoutWitness, u, v):
+        projections = tuple(p.base for p in witness.injections)
+        w = self.base.pair(projections, u.base, v.base)
+        if w is None:
+            raise CoconeMismatch("the cone does not factor through the pullback")
+        return OpMap(w)
+
+    def joint_epi_status(self, maps):
+        return self.base.joint_mono_status(tuple(f.base for f in maps))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +479,7 @@ def coinverse_violation(cat: CategoryCapabilities, data: CoCategoryData, s) -> O
     return None
 
 
-def _check_found_coinverse(cat: CategoryCapabilities, data: CoCategoryData, s) -> None:
-    violation = coinverse_violation(cat, data, s)
-    if violation is not None:
-        raise InvariantViolation(f"claimed co-inverse violates {violation}")
+def _check_involution(cat: CategoryCapabilities, data: CoCategoryData, s) -> None:
     ss = cat.compose(s, s)
     if not cat.equal(cat.compose(data.l, ss), data.l):
         raise InvariantViolation("co-inverse is not involutive on l")
@@ -459,9 +491,9 @@ def find_coinverse(cat: CategoryCapabilities, data: CoCategoryData):
     """A co-inverse s: Q1 -> Q1, or None when provably none exists.
 
     Prefers the host's direct solver; otherwise exhausts the host's
-    morphism enumeration.  Either way the result is re-validated
-    against all four identities, and the derived involution property
-    (s.s.l = l, s.s.r = r) is confirmed.  When neither strategy applies,
+    morphism enumeration.  Either way the result has passed all four
+    identities, and the derived involution property (s.s.l = l,
+    s.s.r = r) is confirmed here.  When neither strategy applies,
     the :class:`UnsupportedCapability` raised names both reasons.
     """
     try:
@@ -477,7 +509,7 @@ def find_coinverse(cat: CategoryCapabilities, data: CoCategoryData):
                 s = candidate
                 break
     if s is not None:
-        _check_found_coinverse(cat, data, s)
+        _check_involution(cat, data, s)
     return s
 
 

@@ -1,5 +1,7 @@
 """Group presentations, pushout/pullback contracts, the explicit
-counterexample with its frozen matrices, and transpose dualisation."""
+counterexample with its frozen matrices, the opposite host ``Op(ABGP)``
+and transpose dualisation, with the mirror-image internal-category
+checker kept as the reference for checking in ``Op(ABGP)``."""
 
 import copy
 import math
@@ -11,11 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocat.core import (
+    Check,
     CoCategoryData,
     CoconeMismatch,
     IllFormedPushout,
+    InvariantViolation,
     NotFree,
+    Op,
+    OpMap,
     PushoutWitness,
+    Report,
     TypeMismatch,
     UnsupportedCapability,
     check_cocat_morphism,
@@ -39,7 +46,6 @@ from cocat.abgp import (
     ab_compose,
     ab_equal,
     ab_identity,
-    check_internal_category,
     free_group,
     group_example_cocategory,
     transpose_dualize,
@@ -713,19 +719,163 @@ class TestJointEpiAgainstBruteForce:
             assert status == brute
 
 
+OP = Op(ABGP)
+
+
+class TestOp:
+    def test_compose_reverses_the_order(self):
+        f = AbMap(free_group(2), free_group(1), _m([[1, 2]]))
+        g = AbMap(free_group(3), free_group(2), _m([[1, 0, 1], [0, 1, 1]]))
+        h = OP.compose(OpMap(f), OpMap(g))
+        assert h == OpMap(ab_compose(g, f))
+        assert (h.dom, h.cod) == (free_group(1), free_group(3))
+
+    def test_copair_rejects_a_cone_that_does_not_factor(self):
+        z = free_group(1)
+        w = OP.pushout(OpMap(ab_identity(z)), OpMap(ab_identity(z)))
+        with pytest.raises(CoconeMismatch):
+            OP.copair(w, OpMap(ab_identity(z)), OpMap(AbMap(z, z, _m([[2]]))))
+
+    def test_pushout_is_the_pullback(self):
+        # the cospan Z^2 -(1 1)-> Z <-2- Z; its pullback is
+        # {(a, b, c) : a + b = 2c}, free of rank 2
+        f = OpMap(AbMap(free_group(2), free_group(1), _m([[1, 1]])))
+        g = OpMap(AbMap(free_group(1), free_group(1), _m([[2]])))
+        w = OP.pushout(f, g)
+        p1, p2 = w.injections
+        assert w.apex == free_group(2)
+        assert OP.equal(OP.compose(f, p1), OP.compose(g, p2))
+        # uniqueness of factorisations, then existence for random cones
+        assert OP.joint_epi_status(w.injections) == (True, None)
+        rng = random.Random(5)
+        for k in range(4):
+            a = [rng.randint(-3, 3) for _ in range(k)]
+            c = [rng.randint(-3, 3) for _ in range(k)]
+            b = [2 * y - x for x, y in zip(a, c)]
+            u = OpMap(AbMap(free_group(k), free_group(2), _m([a, b])))
+            v = OpMap(AbMap(free_group(k), free_group(1), _m([c])))
+            h = OP.copair(w, u, v)
+            assert OP.equal(OP.compose(p1, h), u) and OP.equal(OP.compose(p2, h), v)
+
+    def test_classify_the_dualised_group_example(self):
+        cls = classify(OP, transpose_dualize(group_example_cocategory()))
+        assert (cls.is_cocategory, cls.is_copreorder, cls.is_cogroupoid) == (True, False, None)
+        assert "abgp^op" in cls.witnesses["cogroupoid"]
+
+
+class ConeMismatch(Exception):
+    """A cone does not factor through the pullback apex."""
+
+
+def _pair(projections, u, v):
+    """Factor the cone (u, v) through the pullback apex, verifying that
+    the factorisation is unique (trivial kernel of the stacked
+    projections)."""
+    pi1, pi2 = projections
+    if u.dom != v.dom:
+        raise TypeMismatch("cone legs must share a domain")
+    stacked = vstack(pi1.matrix, pi2.matrix)
+    w = solve_matrix(stacked, vstack(u.matrix, v.matrix))
+    if w is None:
+        raise ConeMismatch("cone does not factor through the pullback apex")
+    if kernel_basis(stacked).cols != 0:
+        raise InvariantViolation("pullback projections are not jointly monic")
+    return AbMap(u.dom, pi1.dom, w)
+
+
+def check_internal_category(icat):
+    """The mirror-image axiom check for an internal category in AbGp,
+    given as a co-category in ``Op(ABGP)``: source/target of units and
+    composites, unit laws and associativity, with pairings obtained by
+    exact linear solving against the pullback witnesses.  The reference
+    for ``check_cocategory(Op(ABGP), icat)``."""
+    src, tgt, unit, comp = (f.base for f in (icat.l, icat.r, icat.i, icat.q))
+    pis = tuple(f.base for f in icat.double.injections)
+    pi1, pi2 = pis
+    rho1, rho2, rho3 = (f.base for f in icat.triple.injections)
+    id0 = ab_identity(icat.q0)
+    id1 = ab_identity(icat.q1)
+    checks = []
+
+    checks.append(Check("double-cospan", ab_equal(ab_compose(pi1, tgt), ab_compose(pi2, src))))
+    checks.append(Check("triple-cospan", ab_equal(ab_compose(rho1, tgt), ab_compose(rho2, src))
+                        and ab_equal(ab_compose(rho2, tgt), ab_compose(rho3, src))))
+    checks.append(Check("unit-source", ab_equal(ab_compose(unit, src), id0)))
+    checks.append(Check("unit-target", ab_equal(ab_compose(unit, tgt), id0)))
+    checks.append(Check("comp-source", ab_equal(ab_compose(comp, src), ab_compose(pi1, src))))
+    checks.append(Check("comp-target", ab_equal(ab_compose(comp, tgt), ab_compose(pi2, tgt))))
+
+    for name, first, second in (
+        ("left-unit", ab_compose(src, unit), id1),
+        ("right-unit", id1, ab_compose(tgt, unit)),
+    ):
+        try:
+            w = _pair(pis, first, second)
+            checks.append(Check(name, ab_equal(ab_compose(w, comp), id1)))
+        except ConeMismatch as exc:
+            checks.append(Check(name, False, f"pairing undefined: {exc}"))
+
+    try:
+        w12 = _pair(pis, rho1, rho2)
+        m12 = ab_compose(w12, comp)
+        left = ab_compose(_pair(pis, m12, rho3), comp)
+        w23 = _pair(pis, rho2, rho3)
+        m23 = ab_compose(w23, comp)
+        right = ab_compose(_pair(pis, rho1, m23), comp)
+        checks.append(Check("assoc", ab_equal(left, right)))
+    except ConeMismatch as exc:
+        checks.append(Check("assoc", False, f"pairing undefined: {exc}"))
+
+    return Report(tuple(checks))
+
+
+def _broken_unit():
+    """The dualised group example with the unit (1, 1, 1): Z -> Z^3,
+    which keeps the unit's source and target but breaks both unit laws."""
+    icat = transpose_dualize(group_example_cocategory())
+    bad_unit = OpMap(AbMap(icat.q0, icat.q1, _m([[1], [1], [1]])))
+    return CoCategoryData(icat.q0, icat.q1, icat.l, icat.r, bad_unit, icat.q,
+                          icat.double, icat.triple)
+
+
+def _dualised_sweep():
+    """The dualised group example, trivial cokernel pair, broken unit,
+    free cokernel pairs and random free structures (mostly not
+    co-categories); structures with torsion in a pushout are skipped."""
+    yield transpose_dualize(group_example_cocategory())
+    yield transpose_dualize(cokernel_pair(ABGP, ab_identity(free_group(1))))
+    yield _broken_unit()
+    for seed in range(60):
+        rng = random.Random(seed)
+        k, n = rng.randint(0, 2), rng.randint(1, 4)
+        m = _rand_matrix(rng, n, k, bound=2)
+        data = cokernel_pair(ABGP, AbMap(free_group(k), free_group(n), m))
+        if data.q1.is_free and data.double.apex.is_free and data.triple.apex.is_free:
+            yield transpose_dualize(data)
+    for seed in range(60):
+        rng = random.Random(seed)
+        data = _random_free_structure(rng, rng.randint(0, 2), rng.randint(0, 3))
+        if data is not None and data.triple.apex.is_free:
+            yield transpose_dualize(data)
+
+
 class TestTranspose:
     def test_internal_axioms(self):
-        icat = transpose_dualize(group_example_cocategory())
-        report = check_internal_category(icat)
+        report = check_cocategory(OP, transpose_dualize(group_example_cocategory()))
         assert report.ok, report.failures
 
     def test_trivial_transpose(self):
         z = free_group(1)
-        from cocat.core import cokernel_pair
         data = cokernel_pair(ABGP, ab_identity(z))
-        icat = transpose_dualize(data)
-        assert check_internal_category(icat).ok
+        assert check_cocategory(OP, transpose_dualize(data)).ok
 
+    def test_agrees_with_the_mirror_image_checker(self):
+        verdicts = []
+        for icat in _dualised_sweep():
+            ok = check_cocategory(OP, icat).ok
+            assert ok == check_internal_category(icat).ok
+            verdicts.append(ok)
+        assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
     def test_involution_entrywise(self):
         data = group_example_cocategory()
         back = transpose_internal(transpose_dualize(data))
@@ -735,8 +885,6 @@ class TestTranspose:
         assert back.q.matrix == data.q.matrix
 
     def test_presented_group_rejected(self):
-        from cocat.core import cokernel_pair
-
         z_mod_2 = FgAbGroup(1, _m([[2]]))
         data = cokernel_pair(ABGP, ab_identity(z_mod_2))
         assert check_cocategory(ABGP, data).ok
@@ -744,12 +892,7 @@ class TestTranspose:
             transpose_dualize(data)
 
     def test_broken_internal_category_detected(self):
-        icat = transpose_dualize(group_example_cocategory())
-        from cocat.core import InternalCategoryData
-
-        bad_unit = AbMap(icat.c0, icat.c1, _m([[1], [1], [1]]))
-        broken = InternalCategoryData(icat.c0, icat.c1, icat.src, icat.tgt,
-                                      bad_unit, icat.comp, icat.double, icat.triple)
-        report = check_internal_category(broken)
+        report = check_cocategory(OP, _broken_unit())
         assert not report.ok
-        assert set(report.failures) == {"left-unit", "right-unit"}
+        assert set(report.failures) == {"left-counit", "right-counit"}
+        assert set(check_internal_category(_broken_unit()).failures) == {"left-unit", "right-unit"}

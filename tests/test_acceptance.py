@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from cocat.cli import main
 from cocat.core import (
+    Op,
     check_cocategory,
     coinverse_candidates,
     coinverse_violation,
@@ -123,7 +124,7 @@ def test_criterion_4_group_counterexample():
     ok = ok and s is not None and coinverse_violation(abgp.ABGP, data, s) is None
     ok = ok and s.matrix == abgp.EXAMPLE_S
     icat = abgp.transpose_dualize(data)
-    ok = ok and abgp.check_internal_category(icat).ok
+    ok = ok and check_cocategory(Op(abgp.ABGP), icat).ok
     _report("criterion 4: group counterexample, entrywise", ok)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cocat.core import (
     CoCategoryData,
     NotFree,
+    Op,
     TypeMismatch,
     check_cocategory,
     classify,
@@ -17,7 +18,7 @@ from cocat.core import (
     double_and_triple,
     find_coinverse,
 )
-from cocat.abgp import ABGP, check_internal_category, group_example_cocategory, transpose_dualize
+from cocat.abgp import ABGP, group_example_cocategory, transpose_dualize
 from cocat.chain import (
     CH,
     ChainComplex,
@@ -356,7 +357,7 @@ class TestTotalSpace:
 
     def test_dual_total_is_internal_category(self):
         icat = transpose_dualize(total_space(chain_example_cocategory()))
-        assert check_internal_category(icat).ok
+        assert check_cocategory(Op(ABGP), icat).ok
 
     def test_cokernel_pair_of_zero_into_interval(self):
         # the summed pushout's basis is not the interleaved one, so q must be

@@ -1,6 +1,7 @@
 """Generic axiom checking, classification flags, morphism squares and
 reassembly, exercised through the finite-set host; the optional
-``inverse`` capability on every host."""
+``inverse`` capability and the ``solve_coinverse`` contract on every
+host."""
 
 import pytest
 
@@ -21,8 +22,8 @@ from cocat.core import (
     find_coinverse,
     reassemble,
 )
-from cocat.abgp import ABGP, AbMap, FgAbGroup, free_group
-from cocat.chain import CH, ChainComplex, ChainMap
+from cocat.abgp import ABGP, AbMap, FgAbGroup, free_group, group_example_cocategory
+from cocat.chain import CH, ChainComplex, ChainMap, chain_example_cocategory, chain_identity
 from cocat.fincat import CAT, arrow_category, functor_identity
 from cocat.intmatrix import IntMatrix
 from cocat.finset import (
@@ -37,6 +38,7 @@ from cocat.finset import (
     pushout,
     subset_mono,
     trivial_cocategory,
+    universal_cocategory,
 )
 
 
@@ -172,6 +174,23 @@ class TestCoinverse:
         solutions, searched = coinverse_candidates(FINSET, pair_example)
         assert searched == 27  # all maps Q1 -> Q1
         assert len(solutions) == 1
+
+    @pytest.mark.parametrize("cat, build", [
+        (FINSET, lambda: cokernel_pair_cocategory(subset_mono([0], FinSetObj(2)))),
+        (FINSET, universal_cocategory),
+        (ABGP, group_example_cocategory),
+        (ABGP, lambda: cokernel_pair(ABGP, AbMap(free_group(1), free_group(1),
+                                                 IntMatrix.from_rows([[2]])))),
+        (CH, chain_example_cocategory),
+        (CH, lambda: cokernel_pair(CH, chain_identity(_interval))),
+    ], ids=["finset-cokernel", "finset-universal", "abgp-example", "abgp-torsion",
+            "chain-example", "chain-interval"])
+    def test_solver_returns_only_checked_coinverses(self, cat, build):
+        # the solve_coinverse contract, on which find_coinverse relies
+        # instead of re-checking; fincat keeps the default, which raises
+        data = build()
+        s = cat.solve_coinverse(data)
+        assert s is not None and coinverse_violation(cat, data, s) is None
 
 
 class TestMorphisms:
