@@ -335,6 +335,8 @@ class AbGp(CategoryCapabilities):
     def joint_mono_status(self, maps):
         """Between free groups: whether the stacked maps have a trivial kernel."""
         maps = list(maps)
+        if not maps:
+            raise TypeMismatch("need at least one map")
         dom = maps[0].dom
         if any(m.dom != dom for m in maps):
             raise TypeMismatch("joint-mono test needs a common domain")
@@ -347,6 +349,8 @@ class AbGp(CategoryCapabilities):
 
     def joint_epi_status(self, maps):
         maps = list(maps)
+        if not maps:
+            raise TypeMismatch("need at least one map")
         cod = maps[0].cod
         if any(m.cod != cod for m in maps):
             raise TypeMismatch("joint-epi test needs a common codomain")

@@ -184,6 +184,8 @@ class Ch(CategoryCapabilities):
 
     def joint_epi_status(self, maps):
         maps = list(maps)
+        if not maps:
+            raise TypeMismatch("need at least one map")
         cod = maps[0].cod
         if any(m.cod != cod for m in maps):
             raise TypeMismatch("joint-epi test needs a common codomain")

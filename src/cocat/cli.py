@@ -300,11 +300,11 @@ def enumerate(q0_max: int, q1_max: int, verify_theorem: bool, count_iso: bool,
 def classify_cmd(category: str, path: str, fmt: str) -> None:
     """Parse a structure document and classify it."""
     from . import formats
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
     try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         _, data = formats.parse_document(text, expected_category=category)
-    except formats.ParseError as exc:
+    except (UnicodeDecodeError, formats.ParseError) as exc:
         raise click.UsageError(f"ParseError: {exc}")
     report = Report(command=f"classify --category {category}")
     cls = classify_data(formats.engine(category), data)

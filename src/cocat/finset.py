@@ -19,7 +19,9 @@ The counit laws alone make l and r cover Q1 on every co-category, so
 an (l, r, i) whose legs do not is rejected before any pushout, and
 each map out of Q1 that the axioms fix on im(l) and im(r) is forced,
 not searched: the co-composition q, a co-inverse s, and the f1 of a
-co-category morphism given its f0.
+co-category morphism given its f0.  Covering legs are jointly epi, so
+the compat laws that force q imply the counit and co-associativity
+laws too: covering sections l, r of i complete in exactly one way.
 
 The kernel is lean but checks everything: there is one ``FinSetObj``
 per size, so objects compare by identity, and a ``FinMap`` is a
@@ -382,11 +384,8 @@ class FinSet(CategoryCapabilities):
         i1, i2 = witness.injections
         if compose(f, i1) != compose(g, i2):
             return False
-        canonical = pushout(f, g)
-        try:
-            comparison = copair(canonical, i1, i2)
-        except (CoconeMismatch, IllFormedPushout):
-            return False
+        # (i1, i2) is a cocone, and the canonical pushout factors every cocone
+        comparison = copair(pushout(f, g), i1, i2)
         return is_bijective(comparison)
 
     def inverse(self, f):
@@ -468,14 +467,11 @@ def verify_proposition(data: CoCategoryData) -> Report:
                    None if bad is None else f"pullback projections differ at element {bad}")
 
     W = pushout(p1, p2)
-    try:
-        comparison = copair(W, data.l, data.r)
-    except (CoconeMismatch, IllFormedPushout) as exc:
-        square = step("square-is-pushout", f"pushout comparison undefined: {exc}")
-    else:
-        square = step("square-is-pushout", None if is_bijective(comparison) else
-                      f"comparison map has size {W.apex.size} vs Q1 size {data.q1.size}"
-                      if W.apex.size != data.q1.size else "comparison map is not injective")
+    # a pullback square commutes, so W factors (l, r)
+    comparison = copair(W, data.l, data.r)
+    square = step("square-is-pushout", None if is_bijective(comparison) else
+                  f"comparison map has size {W.apex.size} vs Q1 size {data.q1.size}"
+                  if W.apex.size != data.q1.size else "comparison map is not injective")
     if square and proj_eq:
         s = compose(inverse(comparison), copair(W, data.r, data.l))
         violated = coinverse_violation(FINSET, data, s)
@@ -513,12 +509,12 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
     the relabelled (l, r).  The search assumes nothing of the theorem
     and prunes nothing that could pass: the one early rejection, of
     (l, r, i) whose legs miss some z of Q1, follows from the counit
-    laws alone (no apex element folds back to z on both sides; see
-    ``_q_candidates``), and a rejected triple still counts as searched
-    in ``lri_triples``.  Structures come out by size, then
-    representative, then relabelling.  ``progress`` gets one dict per
-    size: ``lri_triples`` counts the representative (l, r, i) searched,
-    ``found`` the structures yielded.
+    laws alone, and a rejected triple still counts as searched in
+    ``lri_triples``.  Each covering triple has exactly one completion,
+    whose axioms the compat laws imply (see ``_q_candidates``).
+    Structures come out by size, then representative, then relabelling.
+    ``progress`` gets one dict per size: ``lri_triples`` counts the
+    representative (l, r, i) searched, ``found`` the structures yielded.
 
     The degenerate (0, 0) structure is a valid vacuous co-category but
     is only reachable when a bound is zero (an empty Q0 admits no maps
@@ -648,43 +644,26 @@ def _relabellings(rep: CoCategoryData, shuffles) -> Iterator[CoCategoryData]:
 def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
                   i: FinMap) -> Iterator[CoCategoryData]:
     """The q completing (l, r, i) to a co-category, if there is one.
-    The axioms q.l = nu1.l and q.r = nu2.r force q on the images of l
-    and r, which cover Q1 whenever a completion exists; the forced q is
-    tested against the counit axioms pointwise and against
-    co-associativity.
 
-    A triple whose legs miss some z of Q1 is rejected before anything
-    is built, by the counit laws alone.  Every apex class w of
-    Q1 +_Q0 Q1 holds some nu1(a) or some nu2(b).  If nu1(a), then
-    [l.i, 1](w) = l(i(a)) lies in im(l); if nu2(b), then
-    [1, r.i](w) = r(i(b)) lies in im(r).  So no w folds back to z on
-    both sides, q(z) has no value, and the triple has no completion."""
+    Legs that miss some z of Q1 have none, by the counit laws alone:
+    every apex class w of Q1 +_Q0 Q1 holds some nu1(a), which [l.i, 1]
+    sends to l(i(a)) in im(l), or some nu2(b), which [1, r.i] sends to
+    r(i(b)) in im(r), so no w folds back to z on both sides.
+
+    Legs that cover Q1 have exactly one, which needs no test: the q that
+    the compat laws q.l = nu1.l and q.r = nu2.r force.  The forced table
+    has no conflict: l(a) = r(b) gives a = i(l(a)) = i(r(b)) = b, and
+    then nu1(l(a)) = nu1(r(a)) = nu2(l(a)) = nu2(r(a)).  Each side of
+    each counit and co-associativity law is a map out of Q1, and the
+    compat laws make the two sides agree after l and after r, which
+    cover Q1 and so are jointly epi."""
     if uncovered([l, r]):
         return
     double = pushout(r, l)
     nu1, nu2 = (m.table for m in double.injections)
-    apex = double.apex.size
-    idx = range(q1.size)
-    fold_left = _fill_copair_table(apex, nu1, nu2, [l.table[x] for x in i.table], idx)
-    fold_right = _fill_copair_table(apex, nu1, nu2, idx, [r.table[x] for x in i.table])
     qt = _fill_copair_table(q1.size, l.table, r.table,
                             [nu1[e] for e in l.table], [nu2[e] for e in r.table])
-    if fold_left is None or fold_right is None or qt is None:
-        return
-    # both counit axioms, pointwise: q(z) folds back to z on either side
-    if any(fold_left[w] != z or fold_right[w] != z for z, w in enumerate(qt)):
-        return
-
-    # only now is co-associativity worth the triple pushout
     triple = triple_pushout(FINSET, double)
-    t1, t2, t3 = triple.injections
-    j1 = copair(double, t1, t2).table
-    kappa = copair(double, t2, t3).table
-    left_assoc = _fill_copair_table(apex, nu1, nu2, [j1[w] for w in qt], t3.table)
-    right_assoc = _fill_copair_table(apex, nu1, nu2, t1.table, [kappa[w] for w in qt])
-    if (left_assoc is None or right_assoc is None
-            or any(left_assoc[w] != right_assoc[w] for w in qt)):
-        return
     yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, tuple(qt)), double, triple)
 
 

@@ -182,6 +182,14 @@ class TestClassify:
         assert result.exit_code == 2
         assert "ParseError" in result.output
 
+    def test_non_utf8_document_is_parse_error(self, runner, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"category: finset\n\xff\n")
+        result = runner.invoke(main, ["classify", "--category", "finset",
+                                      "--file", str(path)])
+        assert result.exit_code == 2
+        assert "ParseError" in result.output
+
     def test_in_range_corruption_fails_axioms(self, runner, tmp_path):
         data = finset.cokernel_pair_cocategory(
             finset.subset_mono([0], finset.FinSetObj(2)))

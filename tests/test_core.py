@@ -1,7 +1,7 @@
 """Generic axiom checking, classification flags, morphism squares and
 reassembly, exercised through the finite-set host; the optional
-``inverse`` capability and the ``solve_coinverse`` contract on every
-host."""
+``inverse`` capability, the ``solve_coinverse`` contract and the
+joint-epi and joint-mono tests on an empty family in every host."""
 
 import pytest
 
@@ -9,6 +9,7 @@ from cocat.core import (
     CoCategoryData,
     IllFormedPushout,
     InvariantViolation,
+    Op,
     PushoutWitness,
     TypeMismatch,
     UnsupportedCapability,
@@ -311,3 +312,16 @@ class TestInverse:
     def test_cat_unsupported(self):
         with pytest.raises(UnsupportedCapability):
             CAT.inverse(functor_identity(arrow_category()))
+
+
+@pytest.mark.parametrize("status", [
+    FINSET.joint_epi_status,
+    CAT.joint_epi_status,
+    ABGP.joint_epi_status,
+    ABGP.joint_mono_status,
+    CH.joint_epi_status,
+    Op(ABGP).joint_epi_status,
+], ids=["finset-epi", "cat-epi", "abgp-epi", "abgp-mono", "chain-epi", "op-abgp-epi"])
+def test_empty_family_is_a_type_mismatch(status):
+    with pytest.raises(TypeMismatch, match="need at least one map"):
+        status(())

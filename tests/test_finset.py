@@ -23,6 +23,7 @@ from cocat.core import (
     CoCategoryData,
     CoconeMismatch,
     NotMono,
+    PushoutWitness,
     SizeLimit,
     TypeMismatch,
     UnsupportedCapability,
@@ -329,6 +330,22 @@ class TestPushout:
                         with pytest.raises(CoconeMismatch):
                             FINSET.copair(w, u, v)
 
+    def test_is_pushout_on_its_own_witness(self):
+        f = g = FinMap(FinSetObj(1), FinSetObj(2), (0,))
+        assert FINSET.is_pushout(pushout(f, g)) is True
+
+    @pytest.mark.parametrize("apex, inj1, inj2", [
+        (3, (0, 1), (2, 1)),    # i1.f != i2.g: the square does not commute
+        (4, (0, 1), (0, 2)),    # a cocone whose apex is too big
+        (2, (0, 1), (0, 1)),    # a cocone whose apex is too small
+        (3, (0, 1), (0, 1)),    # right size, but the comparison misses 2
+    ])
+    def test_is_pushout_false(self, apex, inj1, inj2):
+        f = g = FinMap(FinSetObj(1), FinSetObj(2), (0,))
+        x = FinSetObj(apex)
+        witness = PushoutWitness(x, (FinMap(f.cod, x, inj1), FinMap(g.cod, x, inj2)), (f, g))
+        assert FINSET.is_pushout(witness) is False
+
 
 class TestPullback:
     def test_diagonal(self):
@@ -581,16 +598,35 @@ class TestEnumeration:
     def test_q_uniqueness_by_full_exhaustion(self):
         # for each found structure, *every* map into the apex is tried
         # and only the found q survives
+        structures = candidates = 0
         for data in enumerate_cocategories(2, 3):
-            from cocat.core import CoCategoryData
+            structures += 1
+            maps = _maps(data.q1.size, data.double.apex.size)
+            candidates += len(maps)
             survivors = [
-                q for q in _maps(data.q1.size, data.double.apex.size)
+                q for q in maps
                 if check_cocategory(FINSET, CoCategoryData(
                     data.q0, data.q1, data.l, data.r, data.i, q,
                     data.double, data.triple)).ok
             ]
             assert survivors == [data.q]
             assert count_q_solutions(data.q0, data.q1, data.l, data.r, data.i) == 1
+        assert (structures, candidates) == (17, 795)
+
+    def test_forced_q_passes_the_checker(self):
+        # _q_candidates tests no axiom: covering legs force a q that
+        # passes all of them, on each of the 39 covering representatives
+        covering = 0
+        for n0 in range(1, 4):
+            for n1 in range(1, 7):
+                q0, q1 = FinSetObj(n0), FinSetObj(n1)
+                for _, l, r, i in _representative_triples(q0, q1):
+                    if uncovered([l, r]):
+                        continue
+                    covering += 1
+                    [data] = _q_candidates(q0, q1, l, r, i)
+                    assert check_cocategory(FINSET, data).ok
+        assert covering == 39
 
     def test_roundtrip_through_equalizer(self):
         for data in enumerate_cocategories(2, 4):
