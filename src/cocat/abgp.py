@@ -37,7 +37,6 @@ from .core import (
     TypeMismatch,
     UnsupportedCapability,
     coinverse_violation,
-    double_and_triple,
     reassemble,
 )
 from .intmatrix import (
@@ -422,11 +421,11 @@ def group_example_cocategory() -> CoCategoryData:
     l = AbMap(q0, q1, EXAMPLE_L)
     r = AbMap(q0, q1, EXAMPLE_R)
     i = AbMap(q1, q0, EXAMPLE_I)
-    double, triple = double_and_triple(ABGP, l, r)
+    double = ABGP.pushout(r, l)
     if double.apex != free_group(5):
         raise InvariantViolation("double pushout did not reduce to the rank-5 free group")
     q = AbMap(q1, double.apex, EXAMPLE_Q)
-    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double)
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +435,21 @@ def group_example_cocategory() -> CoCategoryData:
 def transpose_dualize(data: CoCategoryData) -> CoCategoryData:
     """Transpose every structure matrix, turning the co-category into an
     internal category: a co-category in ``Op(ABGP)`` on the same free
-    groups, whose double apex is the object of composable pairs.  Only
-    meaningful over free groups."""
-    for label, grp in (("Q0", data.q0), ("Q1", data.q1),
-                       ("double apex", data.double.apex), ("triple apex", data.triple.apex)):
+    groups, whose double apex is the object of composable pairs; the
+    checker builds the object of composable triples as a pullback.
+    Only meaningful over free groups."""
+    for label, grp in (("Q0", data.q0), ("Q1", data.q1), ("double apex", data.double.apex)):
         if not grp.is_free:
             raise NotFree(f"{label} has relations; transposition needs free groups")
 
     def t(f: AbMap) -> OpMap:
         return OpMap(AbMap(f.cod, f.dom, f.matrix.transpose()))
 
-    def witness(w: PushoutWitness) -> PushoutWitness:
-        return PushoutWitness(apex=w.apex, injections=tuple(map(t, w.injections)),
-                              legs=tuple(map(t, w.legs)))
-
+    w = data.double
+    double = PushoutWitness(apex=w.apex, injections=tuple(map(t, w.injections)),
+                            legs=tuple(map(t, w.legs)))
     return CoCategoryData(q0=data.q0, q1=data.q1, l=t(data.l), r=t(data.r), i=t(data.i),
-                          q=t(data.q), double=witness(data.double), triple=witness(data.triple))
+                          q=t(data.q), double=double)
 
 
 def transpose_internal(icat: CoCategoryData) -> CoCategoryData:

@@ -35,7 +35,6 @@ from .core import (
     TypeMismatch,
     UnsupportedCapability,
     coinverse_violation,
-    double_and_triple,
     reassemble,
 )
 from .intmatrix import IntMatrix, cokernel, diagonal, hstack, invert_unimodular, snf
@@ -236,14 +235,14 @@ def chain_example_cocategory() -> CoCategoryData:
     l = ChainMap(q0, q1, (IntMatrix.from_rows([[1], [0]]), IntMatrix.zeros(1, 0)))
     r = ChainMap(q0, q1, (IntMatrix.from_rows([[0], [1]]), IntMatrix.zeros(1, 0)))
     i = ChainMap(q1, q0, (IntMatrix.from_rows([[1, 1]]), IntMatrix.zeros(0, 1)))
-    double, triple = double_and_triple(CH, l, r)
+    double = CH.pushout(r, l)
     if double.apex.ranks != (3, 2):
         raise InvariantViolation("double pushout of the interval has unexpected ranks")
     q = ChainMap(q1, double.apex, (
         IntMatrix.from_rows([[1, 0], [0, 0], [0, 1]]),
         IntMatrix.from_rows([[1], [1]]),
     ))
-    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    return CoCategoryData(q0=q0, q1=q1, l=l, r=r, i=i, q=q, double=double)
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,14 @@ def classify_cmd(category: str, path: str, fmt: str) -> None:
     except (UnicodeDecodeError, formats.ParseError) as exc:
         raise click.UsageError(f"ParseError: {exc}")
     report = Report(command=f"classify --category {category}")
-    cls = classify_data(formats.engine(category), data)
+    try:
+        cls = classify_data(formats.engine(category), data)
+    except core.InvariantViolation:
+        raise
+    except core.CocatError as exc:
+        # on a parsed document only the triple pushout, which the axiom
+        # check builds, can fail: refused as the parser refuses the double
+        raise click.UsageError(f"ParseError: fields 'l'/'r': cannot recompute the pushout: {exc}")
     report.add("cocategory-axioms", cls.is_cocategory,
                None if cls.is_cocategory else f"failed: {', '.join(cls.witnesses['axioms'])}")
     for flag in ("is_cocategory", "is_copreorder", "is_cogroupoid", "is_coequivalence"):

@@ -7,10 +7,12 @@ and four maps
     i    : Q1 -> Q0        (co-unit)
     q    : Q1 -> Q1 +_Q0 Q1  (co-composition, into the pushout of r, l)
 
-subject to duals of the internal-category axioms.  This module owns the
-data containers, the axiom checker, the classification cascade
-(co-preorder / co-groupoid / co-equivalence relation) and the generic
-constructions that only need the :class:`CategoryCapabilities`
+subject to duals of the internal-category axioms.  A structure carries
+the double pushout q lands in and no other witness: the triple pushout
+appears only in co-associativity, and the axiom checker builds it.  This
+module owns the data containers, the axiom checker, the classification
+cascade (co-preorder / co-groupoid / co-equivalence relation) and the
+generic constructions that only need the :class:`CategoryCapabilities`
 interface, which each host engine (finite sets, abelian groups, chain
 complexes, finite categories) implements.  An internal category is a
 co-category in the opposite host, :class:`Op`, whose pushouts and
@@ -102,11 +104,11 @@ class PushoutWitness:
 
 @dataclass(frozen=True)
 class CoCategoryData:
-    """The six-fold co-category structure plus its pushout witnesses.
+    """The six-fold co-category structure plus the pushout q lands in.
 
-    ``double`` is the pushout of the span ``Q1 <-r- Q0 -l-> Q1`` (its
-    injections are written nu1, nu2), ``triple`` the iterated pushout
-    with injections nu1, nu2, nu3.
+    ``double`` is the pushout of the span ``Q1 <-r- Q0 -l-> Q1``, with
+    injections written nu1, nu2.  The triple pushout appears only in
+    the co-associativity law, so :func:`check_cocategory` builds it.
     """
 
     q0: Any
@@ -116,7 +118,6 @@ class CoCategoryData:
     i: Any
     q: Any
     double: PushoutWitness
-    triple: PushoutWitness
 
 
 @dataclass(frozen=True)
@@ -297,19 +298,10 @@ class Op(CategoryCapabilities):
 # Generic constructions
 
 
-def double_and_triple(cat: CategoryCapabilities, l, r) -> tuple[PushoutWitness, PushoutWitness]:
-    """Build the double and triple pushouts of ``Q1 <-r- Q0 -l-> Q1``.
-
-    The triple is glued as (copy1 + copy2) + copy3, and its witness
-    records the three composite injections nu1, nu2, nu3.
-    """
-    double = cat.pushout(r, l)
-    return double, triple_pushout(cat, double)
-
-
 def triple_pushout(cat: CategoryCapabilities, double: PushoutWitness) -> PushoutWitness:
     """The triple pushout over a double pushout of ``Q1 <-r- Q0 -l-> Q1``,
-    read off its legs; ``double_and_triple`` builds both."""
+    read off its legs: glued as (copy1 + copy2) + copy3, with the three
+    composite injections nu1, nu2, nu3."""
     r, l = double.legs
     n1, n2 = double.injections
     second = cat.pushout(cat.compose(r, n2), l)
@@ -322,19 +314,6 @@ def triple_pushout(cat: CategoryCapabilities, double: PushoutWitness) -> Pushout
     )
 
 
-def triple_copairs(cat: CategoryCapabilities, data: CoCategoryData):
-    """The canonical maps double -> triple: (j1, kappa).
-
-    ``j1`` embeds the double as copies (1, 2) of the triple and
-    ``kappa`` as copies (2, 3); both exist for any witnesses satisfying
-    the gluing relations.
-    """
-    t1, t2, t3 = data.triple.injections
-    j1 = cat.copair(data.double, t1, t2)
-    kappa = cat.copair(data.double, t2, t3)
-    return j1, kappa
-
-
 def cokernel_pair(cat: CategoryCapabilities, m) -> CoCategoryData:
     """The co-category on ``cod(m)`` obtained by pushing ``m`` out along
     itself: Q1 = A +_S A, l and r the two injections, i the fold, and q
@@ -344,10 +323,10 @@ def cokernel_pair(cat: CategoryCapabilities, m) -> CoCategoryData:
     a = m.cod
     ia = cat.identity(a)
     i = cat.copair(w, ia, ia)
-    double, triple = double_and_triple(cat, l, r)
+    double = cat.pushout(r, l)
     n1, n2 = double.injections
     q = cat.copair(w, cat.compose(l, n1), cat.compose(r, n2))
-    return CoCategoryData(q0=a, q1=w.apex, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    return CoCategoryData(q0=a, q1=w.apex, l=l, r=r, i=i, q=q, double=double)
 
 
 def reassemble(cat: CategoryCapabilities, l, r, i, q, glued) -> CoCategoryData:
@@ -355,12 +334,12 @@ def reassemble(cat: CategoryCapabilities, l, r, i, q, glued) -> CoCategoryData:
     lands in another pushout of ``Q1 <-r- Q0 -l-> Q1`` with injections
     ``glued``: q is read through the inverse of the comparison [glued],
     and :class:`InvariantViolation` is raised when there is none."""
-    double, triple = double_and_triple(cat, l, r)
+    double = cat.pushout(r, l)
     back = cat.inverse(cat.copair(double, *glued))
     if back is None:
         raise InvariantViolation("pushout comparison is not invertible")
     return CoCategoryData(q0=l.dom, q1=l.cod, l=l, r=r, i=i, q=cat.compose(q, back),
-                          double=double, triple=triple)
+                          double=double)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +355,6 @@ def _typecheck(cat: CategoryCapabilities, data: CoCategoryData) -> None:
     ]
     for k, inj in enumerate(data.double.injections, start=1):
         expect.append((f"nu{k}", inj, data.q1, data.double.apex))
-    for k, inj in enumerate(data.triple.injections, start=1):
-        expect.append((f"triple nu{k}", inj, data.q1, data.triple.apex))
     for name, f, dom, cod in expect:
         if f.dom != dom:
             raise TypeMismatch(f"{name}: domain {f.dom} != expected {dom}")
@@ -385,29 +362,21 @@ def _typecheck(cat: CategoryCapabilities, data: CoCategoryData) -> None:
             raise TypeMismatch(f"{name}: codomain {f.cod} != expected {cod}")
     if len(data.double.injections) != 2:
         raise TypeMismatch("double witness must have exactly two injections")
-    if len(data.triple.injections) != 3:
-        raise TypeMismatch("triple witness must have exactly three injections")
 
 
 def _validate_witnesses(cat: CategoryCapabilities, data: CoCategoryData) -> None:
     n1, n2 = data.double.injections
-    t1, t2, t3 = data.triple.injections
     if not cat.equal(cat.compose(data.r, n1), cat.compose(data.l, n2)):
         raise IllFormedPushout("double witness: nu1.r != nu2.l")
-    if not cat.equal(cat.compose(data.r, t1), cat.compose(data.l, t2)):
-        raise IllFormedPushout("triple witness: nu1.r != nu2.l")
-    if not cat.equal(cat.compose(data.r, t2), cat.compose(data.l, t3)):
-        raise IllFormedPushout("triple witness: nu2.r != nu3.l")
     verdict = cat.is_pushout(data.double)
     if verdict is False:
         raise IllFormedPushout("double witness is not a pushout of (r, l)")
-    for label, witness in (("double", data.double), ("triple", data.triple)):
-        try:
-            covered, _ = cat.joint_epi_status(witness.injections)
-        except UnsupportedCapability:
-            continue
-        if covered is False:
-            raise IllFormedPushout(f"{label} witness: injections do not cover the apex")
+    try:
+        covered, _ = cat.joint_epi_status(data.double.injections)
+    except UnsupportedCapability:
+        return
+    if covered is False:
+        raise IllFormedPushout("double witness: injections do not cover the apex")
 
 
 def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData) -> Report:
@@ -415,14 +384,16 @@ def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData) -> Report:
 
     Copairings such as [q, nu3] only exist when their cocone condition
     holds; a failed condition is reported as a failure of the axiom
-    that needed the copairing.
+    that needed the copairing.  The triple pushout that
+    co-associativity lands in is built here, from the validated double;
+    a host that cannot build it raises its own error.
     """
     _typecheck(cat, data)
     _validate_witnesses(cat, data)
+    t1, t2, t3 = triple_pushout(cat, data.double).injections
 
     l, r, i, q = data.l, data.r, data.i, data.q
     n1, n2 = data.double.injections
-    t1, t2, t3 = data.triple.injections
     id0 = cat.identity(data.q0)
     id1 = cat.identity(data.q1)
     checks: list[Check] = []
@@ -442,7 +413,8 @@ def check_cocategory(cat: CategoryCapabilities, data: CoCategoryData) -> Report:
             checks.append(Check(name, False, f"copairing undefined: {exc}"))
 
     try:
-        j1, kappa = triple_copairs(cat, data)
+        j1 = cat.copair(data.double, t1, t2)
+        kappa = cat.copair(data.double, t2, t3)
         lhs = cat.copair(data.double, cat.compose(q, j1), t3)
         rhs = cat.copair(data.double, t1, cat.compose(q, kappa))
         checks.append(Check("coassoc", cat.equal(cat.compose(q, lhs), cat.compose(q, rhs))))

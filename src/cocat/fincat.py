@@ -33,7 +33,6 @@ from .core import (
     PushoutWitness,
     TypeMismatch,
     UnsupportedCapability,
-    double_and_triple,
 )
 from . import finset as fs
 
@@ -409,7 +408,7 @@ def interval_cocategory() -> CoCategoryData:
     l = FunctorData(i0, i1, (0,), (0,))
     r = FunctorData(i0, i1, (1,), (1,))
     i = FunctorData(i1, i0, (0, 0), (0, 0, 0))
-    double, triple = double_and_triple(CAT, l, r)
+    double = CAT.pushout(r, l)
     n1, n2 = double.injections
     glued = double.apex
     arrow = 2  # the non-identity of i1
@@ -419,7 +418,7 @@ def interval_cocategory() -> CoCategoryData:
                     (glued.identities[n1.obj_map[0]],
                      glued.identities[n2.obj_map[1]],
                      composite))
-    return CoCategoryData(q0=i0, q1=i1, l=l, r=r, i=i, q=q, double=double, triple=triple)
+    return CoCategoryData(q0=i0, q1=i1, l=l, r=r, i=i, q=q, double=double)
 
 
 # ---------------------------------------------------------------------------

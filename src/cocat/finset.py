@@ -12,9 +12,9 @@ correspondence between co-categories and characteristic maps.
 All constructions are canonical and deterministic: pushout apex
 elements are equivalence classes ordered by their smallest member of
 the disjoint union, pullback elements are lexicographically ordered
-pairs.  The enumeration transports each representative's witnesses
-along a relabelling of Q1 instead of building new pushouts, and the
-transported witnesses equal the ones ``double_and_triple`` builds.
+pairs.  The enumeration transports each representative's double
+pushout along a relabelling of Q1 instead of building a new one, and
+the transported witness equals the one ``pushout`` builds.
 The counit laws alone make l and r cover Q1 on every co-category, so
 an (l, r, i) whose legs do not is rejected before any pushout, and
 each map out of Q1 that the axioms fix on im(l) and im(r) is forced,
@@ -51,9 +51,7 @@ from .core import (
     UnsupportedCapability,
     coinverse_violation,
     cokernel_pair,
-    double_and_triple,
     reassemble,
-    triple_pushout,
 )
 
 
@@ -489,8 +487,7 @@ def verify_proposition(data: CoCategoryData) -> Report:
 def _vacuous_cocategory() -> CoCategoryData:
     zero = FinSetObj(0)
     empty = FinMap(zero, zero, ())
-    double, triple = double_and_triple(FINSET, empty, empty)
-    return CoCategoryData(zero, zero, empty, empty, empty, empty, double, triple)
+    return CoCategoryData(zero, zero, empty, empty, empty, empty, pushout(empty, empty))
 
 
 def enumerate_cocategories(max_q0: int, max_q1: int,
@@ -504,9 +501,9 @@ def enumerate_cocategories(max_q0: int, max_q1: int,
     increasing on each fibre.  So (l, r, q) are searched under each i0
     only, and each completion is yielded relabelled along every such
     sigma: orderly generation (McKay 1998) where the canonical form is a
-    sort.  Relabelling transports the representative's witnesses rather
-    than building new pushouts; they equal ``double_and_triple``'s for
-    the relabelled (l, r).  The search assumes nothing of the theorem
+    sort.  Relabelling transports the representative's double pushout
+    rather than building a new one; it equals ``pushout(r', l')`` for
+    the relabelled (l', r').  The search assumes nothing of the theorem
     and prunes nothing that could pass: the one early rejection, of
     (l, r, i) whose legs miss some z of Q1, follows from the counit
     laws alone, and a rejected triple still counts as searched in
@@ -598,30 +595,22 @@ def _relabellings(rep: CoCategoryData, shuffles) -> Iterator[CoCategoryData]:
     """``rep`` transported along each bijection sigma of Q1 in
     ``shuffles``, given with sigma^-1 and i' = i.sigma^-1 for the
     representative's i: l' = sigma.l, r' = sigma.r and
-    q' = phi.q.sigma^-1, with the witnesses ``double_and_triple`` builds
-    for (l', r').
+    q' = phi.q.sigma^-1, into the double pushout that
+    ``pushout(r', l')`` builds.
 
     The relabelled double pushout has the old classes, read through
     sigma^-1 on both copies of Q1; numbering them by first appearance,
     A part then B part, is ``pushout``'s smallest-member numbering and
-    gives the apex bijection phi.  The triple's second pushout glues
-    the double apex (through phi^-1) to Q1 (through sigma^-1) and is
-    renumbered the same way, by psi."""
+    gives the apex bijection phi."""
     q0, q1 = rep.q0, rep.q1
-    double, triple = rep.double, rep.triple
-    d_apex, t_apex = double.apex, triple.apex
-    nu1, nu2 = (m.table for m in double.injections)
-    t1, t2, t3 = (m.table for m in triple.injections)
-    # j1: the double apex into the triple, j1.nu1 = t1 and j1.nu2 = t2
-    j1 = _fill_copair_table(d_apex.size, nu1, nu2, t1, t2)
+    d_apex = rep.double.apex
+    nu1, nu2 = (m.table for m in rep.double.injections)
     l, r, q = rep.l.table, rep.r.table, rep.q.table
-    leg = triple.legs[0].table      # r.nu2, glued to l in the second pushout
     # list comprehensions, not generators, inside tuple(): cheaper here
     for sigma, back, i2 in shuffles:
         s, b = sigma.table, back.table
-        old1, old2, old3 = [nu1[x] for x in b], [nu2[x] for x in b], [t3[x] for x in b]
+        old1, old2 = [nu1[x] for x in b], [nu2[x] for x in b]
         phi = _first_appearance(old1 + old2)
-        psi = _first_appearance([j1[w] for w in phi] + old3)
         l2 = FinMap(q0, q1, tuple([s[a] for a in l]))
         r2 = FinMap(q0, q1, tuple([s[a] for a in r]))
         # PushoutWitness(apex, injections, legs)
@@ -630,15 +619,9 @@ def _relabellings(rep: CoCategoryData, shuffles) -> Iterator[CoCategoryData]:
             (FinMap(q1, d_apex, tuple([phi[w] for w in old1])),
              FinMap(q1, d_apex, tuple([phi[w] for w in old2]))),
             (r2, l2))
-        new_triple = PushoutWitness(
-            t_apex,
-            (FinMap(q1, t_apex, tuple([psi[t1[x]] for x in b])),
-             FinMap(q1, t_apex, tuple([psi[t2[x]] for x in b])),
-             FinMap(q1, t_apex, tuple([psi[w] for w in old3]))),
-            (FinMap(q0, d_apex, tuple([phi[w] for w in leg])), l2))
         yield CoCategoryData(q0, q1, l2, r2, i2,
                              FinMap(q1, d_apex, tuple([phi[q[x]] for x in b])),
-                             new_double, new_triple)
+                             new_double)
 
 
 def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
@@ -663,8 +646,7 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     nu1, nu2 = (m.table for m in double.injections)
     qt = _fill_copair_table(q1.size, l.table, r.table,
                             [nu1[e] for e in l.table], [nu2[e] for e in r.table])
-    triple = triple_pushout(FINSET, double)
-    yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, tuple(qt)), double, triple)
+    yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, tuple(qt)), double)
 
 
 def count_q_solutions(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,

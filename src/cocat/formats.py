@@ -3,11 +3,15 @@
 Every document is line-oriented.  Blank lines and ``#`` comments are
 ignored.  The first entry must be ``category: <finset|abgp|chain|cat>``;
 the remaining sections depend on the host category.  Pushout witnesses
-are never stored: parsers recompute them canonically, and the q tables
-refer to the recomputed apex (for finite sets: quotient classes ordered
-by smallest member of the disjoint union, first copy first; for finite
-categories: identities per glued object first, then reduced words
-ordered by length then content).
+are never stored: the parser recomputes the double pushout canonically,
+and the q tables refer to its apex (for finite sets: quotient classes
+ordered by smallest member of the disjoint union, first copy first; for
+finite categories: identities per glued object first, then reduced
+words ordered by length then content).  Omitted blocks are read as
+zeros, so every declared size is checked against ``MAX_SIZE`` before
+anything is built: a finite set's size, a group's rank, a complex's
+total rank and degree count, a finite category's object and morphism
+counts, and (against twice the cap) a matrix block's dimensions.
 
 finset::
 
@@ -81,7 +85,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .core import (CategoryCapabilities, CoCategoryData, CocatError, TypeMismatch,
-                   NonComposable, double_and_triple)
+                   NonComposable)
 
 # each reader imports its host, and the matrix readers the integer
 # layer, when a document of that category is read
@@ -97,6 +101,15 @@ class ParseError(CocatError):
 _KEY_RE = re.compile(r"^([a-z0-9-]+):\s*(.*?)\s*$")
 
 CATEGORIES = ("finset", "abgp", "chain", "cat")
+
+# The largest size a document may declare; a short document must not
+# make the parser build large matrices out of omitted blocks.
+MAX_SIZE = 100
+
+
+def _check_size(name: str, what: str, size: int, cap: int = MAX_SIZE) -> None:
+    if size > cap:
+        raise ParseError(f"field '{name}': {what} {size} exceeds the cap {cap}")
 
 
 @dataclass
@@ -180,6 +193,8 @@ class _Doc:
             rows, cols = int(dims[0]), int(dims[1])
         except ValueError:
             raise ParseError(f"line {dim_line}: field '{name}': non-integer dimensions")
+        # q lands in the double apex, of up to twice the rank of Q1
+        _check_size(name, "dimension", max(rows, cols), 2 * MAX_SIZE)
         expected = 0 if (rows == 0 or cols == 0) else rows
         body = s.body[1:]
         if len(body) != expected:
@@ -232,6 +247,7 @@ def _finset(doc: _Doc, name: str) -> fs.FinSetObj:
     size = doc.int(name)
     if size < 0:
         raise ParseError(f"field '{name}': size must be non-negative")
+    _check_size(name, "size", size)
     return fs.FinSetObj(size)
 
 
@@ -269,6 +285,7 @@ def _group(doc: _Doc, name: str) -> ab.FgAbGroup:
     rank = doc.int(name)
     if rank < 0:
         raise ParseError(f"field '{name}': rank must be non-negative")
+    _check_size(name, "rank", rank)
     rel_name = f"{name}-relations"
     if doc.has(rel_name):
         rel = doc.matrix(rel_name)
@@ -300,6 +317,8 @@ def _complex(doc: _Doc, name: str) -> ch.ChainComplex:
     ranks = doc.ints(f"{name}-ranks")
     if not ranks or any(r < 0 for r in ranks):
         raise ParseError(f"field '{name}-ranks': need non-negative ranks, degree 0 first")
+    _check_size(f"{name}-ranks", "total rank", sum(ranks))
+    _check_size(f"{name}-ranks", "degree count", len(ranks))
     diffs = []
     for d in range(1, len(ranks)):
         key = f"{name}-d{d}"
@@ -349,7 +368,9 @@ def write_chain(data: CoCategoryData) -> str:
 def _category(doc: _Doc, name: str) -> fc.FinCategory:
     from . import fincat as fc
     n_obj = doc.int(f"{name}-objects")
+    _check_size(f"{name}-objects", "object count", n_obj)
     mor_rows = doc.rows(f"{name}-morphisms", 2)
+    _check_size(f"{name}-morphisms", "morphism count", len(mor_rows))
     src = tuple(row[0] for row in mor_rows)
     tgt = tuple(row[1] for row in mor_rows)
     identities = tuple(doc.ints(f"{name}-identities", length=n_obj))
@@ -445,11 +466,11 @@ def _parse(doc: _Doc, category: str) -> CoCategoryData:
     r = read_map(doc, "r", q0, q1)
     i = read_map(doc, "i", q1, q0)
     try:
-        double, triple = double_and_triple(host, l, r)
+        double = host.pushout(r, l)
     except CocatError as exc:
         raise ParseError(f"fields 'l'/'r': cannot recompute the pushout: {exc}")
     q = read_map(doc, "q", q1, double.apex)
-    return CoCategoryData(q0, q1, l, r, i, q, double, triple)
+    return CoCategoryData(q0, q1, l, r, i, q, double)
 
 
 def parse_document(text: str, expected_category: Optional[str] = None

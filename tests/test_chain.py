@@ -15,7 +15,6 @@ from cocat.core import (
     check_cocategory,
     classify,
     cokernel_pair,
-    double_and_triple,
     find_coinverse,
 )
 from cocat.abgp import ABGP, group_example_cocategory, transpose_dualize
@@ -287,16 +286,17 @@ class TestCoreflexivePairs:
         l, r, i = lri
         q1 = l.cod
         try:
-            double, triple = double_and_triple(CH, l, r)
+            double = CH.pushout(r, l)
+            n1, n2 = double.injections
+            q = ChainMap(q1, double.apex, tuple(m1 + m2 - m1 @ rd @ id_ for m1, m2, rd, id_ in zip(
+                n1.mats, n2.mats, r.mats, i.mats)))
+            data = CoCategoryData(l.dom, q1, l, r, i, q, double)
+            # the checker builds the triple pushout
+            assert check_cocategory(CH, data).ok
         except NotFree:
             # a free pushout that keeps a relator with no unit entry, as
             # in TestChainPushout.test_free_pushout_with_no_unit_relator
             reject()
-        n1, n2 = double.injections
-        q = ChainMap(q1, double.apex, tuple(m1 + m2 - m1 @ rd @ id_ for m1, m2, rd, id_ in zip(
-            n1.mats, n2.mats, r.mats, i.mats)))
-        data = CoCategoryData(l.dom, q1, l, r, i, q, double, triple)
-        assert check_cocategory(CH, data).ok
         cls = classify(CH, data)
         covered = all(
             all(tuple(int(p == j) for p in range(n)) in Lattice(hstack(ld, rd))

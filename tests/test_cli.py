@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,49 @@ class TestClassify:
                                       "--file", str(path)])
         assert result.exit_code == 2
         assert "ParseError" in result.output
+
+    def test_unbuildable_triple_pushout_is_parse_error(self, runner, tmp_path, monkeypatch):
+        # a host that builds the double pushout but not the triple one,
+        # whose first leg r.nu2 lands in the double apex, not in Q1
+        path = tmp_path / "interval.txt"
+        path.write_text(formats.write_document("cat", fincat.interval_cocategory()))
+        real = fincat.pushout_cats
+
+        def no_triple(f, g, *args, **kwargs):
+            if f.cod != g.cod:
+                raise core.ClosureExceeded("word closure exceeds cap 16")
+            return real(f, g, *args, **kwargs)
+
+        monkeypatch.setattr(fincat, "pushout_cats", no_triple)
+        result = runner.invoke(main, ["classify", "--category", "cat", "--file", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert ("ParseError: fields 'l'/'r': cannot recompute the pushout: "
+                "word closure exceeds cap 16") in result.output
+
+    @pytest.mark.parametrize("category, text, field", [
+        # omitted chain blocks would be read as zero matrices
+        ("chain", "category: chain\nq0-ranks: 3000 3000\nq1-ranks: 3000 3000\n", "q0-ranks"),
+        ("chain", "category: chain\nq0-ranks: " + "0 " * 101 + "\n", "q0-ranks"),
+        # zero-width maps need no row lines, so the ranks alone would
+        # make the parser build the pushout of Z^800 + Z^800
+        ("abgp", "category: abgp\nq0: 0\nq1: 800\nl:\n800 0\nr:\n800 0\n", "q1"),
+        ("abgp", "category: abgp\nq0: 1\nq1: 1\nl:\n1000000 0\n", "l"),
+        ("finset", "category: finset\nq0: 1\nq1: 1000000\n", "q1"),
+        ("cat", "category: cat\nq0-objects: 1000\n", "q0-objects"),
+        ("cat", "category: cat\nq0-objects: 1\nq0-morphisms:\n" + "0 0\n" * 101,
+         "q0-morphisms"),
+    ], ids=["chain-ranks", "chain-degrees", "abgp-rank", "abgp-dimension", "finset-size",
+            "cat-objects", "cat-morphisms"])
+    def test_oversized_document_is_parse_error(self, runner, tmp_path, category, text, field):
+        path = tmp_path / "oversized.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["classify", "--category", category, "--file", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert f"ParseError: field '{field}'" in result.output
+        assert "exceeds the cap" in result.output
 
     def test_wrong_category_flag(self, runner, tmp_path):
         text = formats.write_document("abgp", abgp.group_example_cocategory())

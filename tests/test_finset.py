@@ -31,7 +31,6 @@ from cocat.core import (
     check_cocategory,
     classify,
     coinverse_candidates,
-    double_and_triple,
     find_coinverse,
 )
 from cocat.finset import (
@@ -455,7 +454,7 @@ class TestProofWalkthrough:
         # walkthrough names the steps where the argument breaks
         d = cokernel_pair_cocategory(subset_mono([0], FinSetObj(2)))
         bad_q = FinMap(d.q1, d.double.apex, (0,) * 3)
-        broken = CoCategoryData(d.q0, d.q1, d.l, d.r, d.i, bad_q, d.double, d.triple)
+        broken = CoCategoryData(d.q0, d.q1, d.l, d.r, d.i, bad_q, d.double)
         report = verify_proposition(broken)
         assert report.failures == ("left-retraction", "right-retraction", "coinverse")
         assert report["left-retraction"].detail == "l.i.q_1 != m_1 at P1 element 1"
@@ -470,11 +469,11 @@ def _naive_count(n0, n1):
     count = 0
     for l in _maps(n0, n1):
         for r in _maps(n0, n1):
-            double, triple = double_and_triple(FINSET, l, r)
+            double = pushout(r, l)
             for i in _maps(n1, n0):
                 for q in _maps(n1, double.apex.size):
                     from cocat.core import CoCategoryData
-                    data = CoCategoryData(q0, q1, l, r, i, q, double, triple)
+                    data = CoCategoryData(q0, q1, l, r, i, q, double)
                     if check_cocategory(FINSET, data).ok:
                         count += 1
     return count
@@ -501,19 +500,19 @@ def _surjection_oracle(max_q0, max_q1):
 
 def _relabel_by_pushouts(data, sigma):
     """The structure transported along a bijection sigma of Q1 with
-    fresh pushouts: l' = sigma.l, r' = sigma.r, i' = i.sigma^-1,
-    ``double_and_triple`` witnesses for (l', r'), and q' = phi.q.sigma^-1,
+    fresh pushouts: l' = sigma.l, r' = sigma.r, i' = i.sigma^-1, the
+    double pushout of (r', l'), and q' = phi.q.sigma^-1,
     where the apex bijection phi has phi.nu1 = nu1'.sigma and
     phi.nu2 = nu2'.sigma."""
     back = inverse(sigma)
     l, r = compose(data.l, sigma), compose(data.r, sigma)
-    double, triple = double_and_triple(FINSET, l, r)
+    double = pushout(r, l)
     old1, old2 = data.double.injections
     nu1, nu2 = double.injections
     phi = _fill_copair_table(data.double.apex.size, old1.table, old2.table,
                              compose(sigma, nu1).table, compose(sigma, nu2).table)
     q = FinMap(data.q1, double.apex, tuple(phi[w] for w in compose(back, data.q).table))
-    return CoCategoryData(data.q0, data.q1, l, r, compose(back, data.i), q, double, triple)
+    return CoCategoryData(data.q0, data.q1, l, r, compose(back, data.i), q, double)
 
 
 def _relabelled_by_pushouts(max_q0, max_q1):
@@ -607,7 +606,7 @@ class TestEnumeration:
                 q for q in maps
                 if check_cocategory(FINSET, CoCategoryData(
                     data.q0, data.q1, data.l, data.r, data.i, q,
-                    data.double, data.triple)).ok
+                    data.double)).ok
             ]
             assert survivors == [data.q]
             assert count_q_solutions(data.q0, data.q1, data.l, data.r, data.i) == 1
@@ -654,7 +653,7 @@ class TestEnumeration:
 
     def test_witnesses_are_canonical(self):
         for data in enumerate_cocategories(3, 6):
-            assert (data.double, data.triple) == double_and_triple(FINSET, data.l, data.r)
+            assert data.double == pushout(data.r, data.l)
 
     def test_transport_matches_fresh_pushouts(self):
         ours = list(enumerate_cocategories(3, 6))
@@ -743,17 +742,17 @@ class TestEarlyRejection:
         triples = candidates = 0
         for q0, q1, l, r, i in _non_covering_triples(3, 3):
             triples += 1
-            double, triple = double_and_triple(FINSET, l, r)
+            double = pushout(r, l)
             for q in _maps(q1.size, double.apex.size):
                 candidates += 1
-                data = CoCategoryData(q0, q1, l, r, i, q, double, triple)
+                data = CoCategoryData(q0, q1, l, r, i, q, double)
                 assert not check_cocategory(FINSET, data).ok
             assert count_q_solutions(q0, q1, l, r, i) == 0
         assert (triples, candidates) == (15, 1399)
 
     def test_only_covering_triples_build_pushouts(self, monkeypatch):
         # 39 of the 913 representatives at (3, 6) cover Q1, and each
-        # builds its double and triple pushout; relabelling builds none
+        # builds its double pushout; relabelling builds none
         calls = []
         real = finset.pushout
 
@@ -763,7 +762,7 @@ class TestEarlyRejection:
 
         monkeypatch.setattr(finset, "pushout", counting)
         assert sum(1 for _ in enumerate_cocategories(3, 6)) == 1199
-        assert len(calls) == 78 == 2 * 39
+        assert len(calls) == 39
 
 
 class TestUniversal:
@@ -944,9 +943,9 @@ def _hand_built(n0, n1, l, r, i, q):
     axioms need not hold."""
     q0, q1 = FinSetObj(n0), FinSetObj(n1)
     l_map, r_map = FinMap(q0, q1, l), FinMap(q0, q1, r)
-    double, triple = double_and_triple(FINSET, l_map, r_map)
+    double = pushout(r_map, l_map)
     return CoCategoryData(q0, q1, l_map, r_map, FinMap(q1, q0, i),
-                          FinMap(q1, double.apex, q), double, triple)
+                          FinMap(q1, double.apex, q), double)
 
 
 class TestSolveCoinverse:
@@ -981,7 +980,7 @@ class TestSolveCoinverse:
         wide = FinMap(d.q0, FinSetObj(3), (2,))
         with pytest.raises(TypeMismatch):
             FINSET.solve_coinverse(CoCategoryData(d.q0, d.q1, wide, d.r, d.i, d.q,
-                                                  d.double, d.triple))
+                                                  d.double))
 
 
 def test_uncovering_legs_force_nothing():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocat import abgp, chain, fincat, finset
-from cocat.core import CoCategoryData, check_cocategory, classify, double_and_triple
-from cocat.formats import ParseError, parse_document, write_document
+from cocat.core import CoCategoryData, check_cocategory, classify
+from cocat.formats import MAX_SIZE, ParseError, parse_document, write_document
 
 
 EXAMPLES = {
@@ -68,11 +68,11 @@ class TestRoundTrips:
 
         q0, q1 = abgp.free_group(0), abgp.free_group(2)
         zero_l = abgp.AbMap(q0, q1, IntMatrix.zeros(2, 0))
-        double, triple = double_and_triple(abgp.ABGP, zero_l, zero_l)
+        double = abgp.ABGP.pushout(zero_l, zero_l)
         stacked = IntMatrix.from_rows([[1, 0], [0, 1], [1, 0], [0, 1]])
         data = CoCategoryData(q0, q1, zero_l, zero_l,
                               abgp.AbMap(q1, q0, IntMatrix.zeros(0, 2)),
-                              abgp.AbMap(q1, double.apex, stacked), double, triple)
+                              abgp.AbMap(q1, double.apex, stacked), double)
         _, parsed = parse_document(write_document("abgp", data))
         assert parsed == data
         verdict = classify(abgp.ABGP, parsed)
@@ -147,6 +147,16 @@ class TestDiagnostics:
     def test_malformed_is_parse_error(self, text, field):
         with pytest.raises(ParseError, match=f"'{field}'"):
             parse_document(text)
+
+    def test_sizes_up_to_the_cap(self):
+        # the cokernel pair of the identity on a set at the cap has
+        # |Q0| = |Q1| = MAX_SIZE; one more element is refused
+        data = finset.cokernel_pair_cocategory(finset.identity(finset.FinSetObj(MAX_SIZE)))
+        text = write_document("finset", data)
+        assert parse_document(text)[1] == data
+        bigger = text.replace(f"q1: {MAX_SIZE}", f"q1: {MAX_SIZE + 1}")
+        with pytest.raises(ParseError, match=f"'q1': size {MAX_SIZE + 1} exceeds the cap"):
+            parse_document(bigger)
 
     def test_invalid_category_laws(self):
         text = ("category: cat\n"
