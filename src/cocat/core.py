@@ -218,10 +218,10 @@ class CategoryCapabilities:
         raise UnsupportedCapability(f"{self.name}: morphism enumeration")
 
     def solve_coinverse(self, data: CoCategoryData):
-        """Solve directly for a co-inverse; None means provably none.
-
-        A returned s has passed :func:`coinverse_violation`, which
-        :func:`find_coinverse` therefore does not repeat.
+        """The co-inverse, the one strategy :func:`find_coinverse` asks;
+        None means provably none.  A returned s has passed
+        :func:`coinverse_violation`, which :func:`find_coinverse`
+        therefore does not repeat.
         """
         raise UnsupportedCapability(f"{self.name}: co-inverse solving")
 
@@ -462,24 +462,12 @@ def _check_involution(cat: CategoryCapabilities, data: CoCategoryData, s) -> Non
 def find_coinverse(cat: CategoryCapabilities, data: CoCategoryData):
     """A co-inverse s: Q1 -> Q1, or None when provably none exists.
 
-    Prefers the host's direct solver; otherwise exhausts the host's
-    morphism enumeration.  Either way the result has passed all four
-    identities, and the derived involution property (s.s.l = l,
-    s.s.r = r) is confirmed here.  When neither strategy applies,
-    the :class:`UnsupportedCapability` raised names both reasons.
+    The host's ``solve_coinverse`` decides, and the s it returns has
+    passed all four identities; the derived involution property
+    (s.s.l = l, s.s.r = r) is confirmed here.  A host that cannot
+    decide raises :class:`UnsupportedCapability`.
     """
-    try:
-        s = cat.solve_coinverse(data)
-    except UnsupportedCapability as direct:
-        try:
-            candidates = cat.morphisms(data.q1, data.q1)
-        except UnsupportedCapability as enumeration:
-            raise UnsupportedCapability(f"{direct}; {enumeration}")
-        s = None
-        for candidate in candidates:
-            if coinverse_violation(cat, data, candidate) is None:
-                s = candidate
-                break
+    s = cat.solve_coinverse(data)
     if s is not None:
         _check_involution(cat, data, s)
     return s

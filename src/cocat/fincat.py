@@ -33,6 +33,7 @@ from .core import (
     PushoutWitness,
     TypeMismatch,
     UnsupportedCapability,
+    coinverse_violation,
 )
 from . import finset as fs
 
@@ -188,25 +189,29 @@ def functor_identity(c: FinCategory) -> FunctorData:
 def enumerate_functors(dom: FinCategory, cod: FinCategory) -> list[FunctorData]:
     """All functors dom -> cod by filtered brute force, in lexicographic
     order of their assignments."""
-    out = []
+    return [functor
+            for obj_map in itertools.product(range(cod.n_objects), repeat=dom.n_objects)
+            for functor in _functors_over(dom, cod, obj_map)]
+
+
+def _functors_over(dom: FinCategory, cod: FinCategory,
+                   obj_map: tuple[int, ...]) -> Iterator[FunctorData]:
+    """The functors dom -> cod with the given object map, in
+    lexicographic order of their morphism assignments."""
     non_ids = dom.non_identities()
-    for obj_map in itertools.product(range(cod.n_objects), repeat=dom.n_objects):
-        candidates = []
-        for f in non_ids:
-            opts = [m for m in range(cod.n_morphisms)
-                    if cod.src[m] == obj_map[dom.src[f]] and cod.tgt[m] == obj_map[dom.tgt[f]]]
-            candidates.append(opts)
-        for choice in itertools.product(*candidates):
-            mor_map = [0] * dom.n_morphisms
-            for x in range(dom.n_objects):
-                mor_map[dom.identities[x]] = cod.identities[obj_map[x]]
-            for f, m in zip(non_ids, choice):
-                mor_map[f] = m
-            try:
-                out.append(FunctorData(dom, cod, obj_map, tuple(mor_map)))
-            except TypeMismatch:
-                continue
-    return out
+    candidates = [[m for m in range(cod.n_morphisms)
+                   if cod.src[m] == obj_map[dom.src[f]] and cod.tgt[m] == obj_map[dom.tgt[f]]]
+                  for f in non_ids]
+    for choice in itertools.product(*candidates):
+        mor_map = [0] * dom.n_morphisms
+        for x in range(dom.n_objects):
+            mor_map[dom.identities[x]] = cod.identities[obj_map[x]]
+        for f, m in zip(non_ids, choice):
+            mor_map[f] = m
+        try:
+            yield FunctorData(dom, cod, obj_map, tuple(mor_map))
+        except TypeMismatch:
+            continue
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +242,13 @@ def _is_discrete(c: FinCategory) -> bool:
     return c.n_morphisms == c.n_objects
 
 
-def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = WORD_CAP) -> PushoutWitness:
+def pushout_cats(f: FunctorData, g: FunctorData) -> PushoutWitness:
     """Glue cod(f) and cod(g) along a discrete span.
 
     Objects are glued by the finite-set pushout of the object maps;
     morphisms are reduced alternating words in the two sides'
     non-identity morphisms.  Raises :class:`ClosureExceeded` when a
-    word would exceed ``word_cap`` (the closure is then infinite, e.g.
+    word would exceed ``WORD_CAP`` (the closure is then infinite, e.g.
     a freshly created loop).
     """
     if f.dom != g.dom:
@@ -277,8 +282,8 @@ def pushout_cats(f: FunctorData, g: FunctorData, word_cap: int = WORD_CAP) -> Pu
             nw = _reduce_word(w + h, cats)
             if not nw:
                 continue
-            if len(nw) > word_cap:
-                raise ClosureExceeded(f"word closure exceeds cap {word_cap}")
+            if len(nw) > WORD_CAP:
+                raise ClosureExceeded(f"word closure exceeds cap {WORD_CAP}")
             if nw not in words:
                 words.add(nw)
                 queue.append(nw)
@@ -379,6 +384,27 @@ class Cat(CategoryCapabilities):
     def morphisms(self, x, y):
         return enumerate_functors(x, y)
 
+    def solve_coinverse(self, data):
+        """The first co-inverse in functor order, or None when none exists.
+
+        Taking objects keeps pushouts, so on a co-category l and r cover
+        ob Q1, and s.l = r, s.r = l force the object map of s as in
+        ``FinSet.solve_coinverse``; only the functors over it are tried.
+        Legs that miss ob Q1 raise :class:`UnsupportedCapability`."""
+        q1 = data.q1
+        if data.l.cod != q1 or data.r.cod != q1:
+            raise TypeMismatch("co-inverse: l and r must land in Q1")
+        l, r = data.l.obj_map, data.r.obj_map
+        obj_map = fs._fill_copair_table(q1.n_objects, l, r, r, l)
+        if obj_map is None:
+            return None
+        if None in obj_map:
+            raise UnsupportedCapability("cat: l and r miss objects of Q1, so s is not forced")
+        for s in _functors_over(q1, q1, tuple(obj_map)):
+            if coinverse_violation(self, data, s) is None:
+                return s
+        return None
+
     def joint_epi_status(self, maps):
         """True when the images generate the codomain; otherwise
         disprove joint epimorphy by counterexample search, or report
@@ -386,7 +412,7 @@ class Cat(CategoryCapabilities):
         maps = list(maps)
         if _images_generate(maps):
             return True, None
-        found = joint_epi_counterexample_for_maps(maps, JOINT_EPI_BOUND)
+        found = joint_epi_counterexample_for_maps(maps)
         if found is not None:
             c, pair = found
             return False, {"category": c, "functors": pair}
@@ -518,12 +544,12 @@ def _images_generate(maps) -> bool:
     return len(reached) == cod.n_morphisms
 
 
-def joint_epi_counterexample_for_maps(maps, max_test_size: int
-                                      ) -> Optional[tuple[FinCategory, tuple[FunctorData, FunctorData]]]:
-    """Search test categories for a pair F != G out of the common
-    codomain agreeing after precomposition with every map."""
+def joint_epi_counterexample_for_maps(
+        maps) -> Optional[tuple[FinCategory, tuple[FunctorData, FunctorData]]]:
+    """Search test categories up to ``JOINT_EPI_BOUND`` morphisms for F != G
+    out of the common codomain agreeing after precomposition with every map."""
     cod = _common_codomain(maps)
-    for c in _enumerate_categories(max_test_size):
+    for c in _enumerate_categories(JOINT_EPI_BOUND):
         seen: dict[tuple, FunctorData] = {}
         for cand in enumerate_functors(cod, c):
             composites = [functor_compose(m, cand) for m in maps]
@@ -532,13 +558,3 @@ def joint_epi_counterexample_for_maps(maps, max_test_size: int
                 return c, (seen[sig], cand)
             seen[sig] = cand
     return None
-
-
-def joint_epi_counterexample(data: CoCategoryData, max_test_size: int
-                             ) -> Optional[tuple[FinCategory, FunctorData, FunctorData]]:
-    """Disproof witness for "l, r are jointly epi", or None (unknown)."""
-    found = joint_epi_counterexample_for_maps([data.l, data.r], max_test_size)
-    if found is None:
-        return None
-    c, (first, second) = found
-    return c, first, second

@@ -19,9 +19,10 @@ The counit laws alone make l and r cover Q1 on every co-category, so
 an (l, r, i) whose legs do not is rejected before any pushout, and
 each map out of Q1 that the axioms fix on im(l) and im(r) is forced,
 not searched: the co-composition q, a co-inverse s, and the f1 of a
-co-category morphism given its f0.  Covering legs are jointly epi, so
-the compat laws that force q imply the counit and co-associativity
-laws too: covering sections l, r of i complete in exactly one way.
+co-category morphism given its f0; where legs miss Q1, s and f1 raise
+instead of trying every map.  Covering legs are jointly epi, so the
+compat laws that force q imply the counit and co-associativity laws
+too: covering sections l, r of i complete in exactly one way.
 
 The kernel is lean but checks everything: there is one ``FinSetObj``
 per size, so objects compare by identity, and a ``FinMap`` is a
@@ -362,8 +363,8 @@ class FinSet(CategoryCapabilities):
 
         s.l = r and s.r = l force s on the images of l and r, which
         cover Q1 on every co-category, so one table is checked.  Legs
-        that miss Q1 raise :class:`UnsupportedCapability`, and
-        ``core.find_coinverse`` searches ``morphisms`` instead.
+        that miss Q1 leave s unforced and raise
+        :class:`UnsupportedCapability`.
         """
         q1 = data.q1
         if data.l.cod != q1 or data.r.cod != q1:
@@ -647,12 +648,6 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     qt = _fill_copair_table(q1.size, l.table, r.table,
                             [nu1[e] for e in l.table], [nu2[e] for e in r.table])
     yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, tuple(qt)), double)
-
-
-def count_q_solutions(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
-                      i: FinMap) -> int:
-    """How many co-compositions complete a fixed (l, r, i)."""
-    return sum(1 for _ in _q_candidates(q0, q1, l, r, i))
 
 
 # ---------------------------------------------------------------------------

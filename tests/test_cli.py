@@ -172,6 +172,22 @@ class TestClassify:
         assert payload["summary"]["is-coequivalence"] is False
         assert "(0,)" in payload["summary"]["witness-copreorder"]
 
+    @pytest.mark.parametrize("c", [4, 5, 6])
+    def test_large_cat_cokernel_pair_is_decided(self, runner, tmp_path, c):
+        # the cokernel pair of the empty category into discrete(c): Q1 has
+        # 2c objects, so the object maps of its endofunctors number
+        # (2c)^(2c), but s.l = r and s.r = l force the one co-inverse
+        big = fincat.discrete_category(c)
+        empty = fincat.FunctorData(fincat.discrete_category(0), big, (), ())
+        path = tmp_path / f"cat-{c}.txt"
+        path.write_text(formats.write_document("cat", core.cokernel_pair(fincat.CAT, empty)))
+        start = time.perf_counter()
+        result = runner.invoke(main, ["classify", "--category", "cat",
+                                      "--file", str(path), "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["summary"]["is-coequivalence"] is True
+
     def test_corrupted_table_is_parse_error(self, runner, tmp_path):
         data = finset.cokernel_pair_cocategory(
             finset.subset_mono([0], finset.FinSetObj(2)))

@@ -50,6 +50,7 @@ from cocat.finset import (
     universal_cocategory,
 )
 from test_abgp import _dualised_sweep
+from test_fincat import discrete_cokernel, walking_iso_interval
 
 
 @pytest.fixture
@@ -193,11 +194,13 @@ class TestCoinverse:
                                                  IntMatrix.from_rows([[2]])))),
         (CH, chain_example_cocategory),
         (CH, lambda: cokernel_pair(CH, chain_identity(_interval))),
+        (CAT, lambda: discrete_cokernel(3, 2)),
+        (CAT, walking_iso_interval),
     ], ids=["finset-cokernel", "finset-universal", "abgp-example", "abgp-torsion",
-            "chain-example", "chain-interval"])
+            "chain-example", "chain-interval", "cat-cokernel", "cat-walking-iso"])
     def test_solver_returns_only_checked_coinverses(self, cat, build):
         # the solve_coinverse contract, on which find_coinverse relies
-        # instead of re-checking; fincat keeps the default, which raises
+        # instead of re-checking
         data = build()
         s = cat.solve_coinverse(data)
         assert s is not None and coinverse_violation(cat, data, s) is None

@@ -1,10 +1,12 @@
 """Finite categories: law validation, functor enumeration, word-based
-pushouts, the interval, and the joint-epi counterexample search."""
+pushouts, the interval, the forced co-inverse search, and the joint-epi
+counterexample search."""
 
 import pytest
 
 from cocat.core import (
     ClosureExceeded,
+    CoCategoryData,
     NonComposable,
     TypeMismatch,
     UnsupportedCapability,
@@ -17,6 +19,7 @@ from cocat.core import (
 )
 from cocat.fincat import (
     CAT,
+    JOINT_EPI_BOUND,
     FinCategory,
     FunctorData,
     arrow_category,
@@ -26,7 +29,7 @@ from cocat.fincat import (
     functor_compose,
     functor_identity,
     interval_cocategory,
-    joint_epi_counterexample,
+    joint_epi_counterexample_for_maps,
     pushout_cats,
     terminal_category,
     _complete_tables,
@@ -130,7 +133,7 @@ class TestPushouts:
         f = FunctorData(s2, arrow, (0, 1), (0, 1))
         g = FunctorData(s2, point, (0, 0), (0, 0))
         with pytest.raises(ClosureExceeded):
-            pushout_cats(f, g, word_cap=6)
+            pushout_cats(f, g)
 
     def test_non_discrete_span_rejected(self):
         arrow = arrow_category()
@@ -180,20 +183,100 @@ class TestInterval:
         assert rep.ok
 
 
+# cokernel pairs of discrete S into discrete C, as (|C|, |S|)
+DISCRETE_SHAPES = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 4))
+
+
+def discrete_cokernel(c: int, s: int):
+    """The cokernel pair of discrete(s) into discrete(c) on its first s
+    objects."""
+    big = discrete_category(c)
+    m = FunctorData(discrete_category(s), big, tuple(range(s)),
+                    tuple(big.identities[:s]))
+    return cokernel_pair(CAT, m)
+
+
+def walking_iso_interval():
+    """The interval built on the walking isomorphism 0 <-> 1: l = 0,
+    r = 1, and q sending each arrow to its composite across two glued
+    copies, as :func:`interval_cocategory` does."""
+    point = terminal_category()
+    iso = FinCategory(2, (0, 1, 0, 1), (0, 1, 1, 0), (0, 1), (
+        (0, None, 2, None),
+        (None, 1, None, 3),
+        (None, 2, None, 0),
+        (3, None, 1, None),
+    ))
+    l = FunctorData(point, iso, (0,), (0,))
+    r = FunctorData(point, iso, (1,), (1,))
+    i = FunctorData(iso, point, (0, 0), (0, 0, 0, 0))
+    double = CAT.pushout(r, l)
+    n1, n2 = double.injections
+    glued = double.apex
+    ends = (n1.obj_map[0], n2.obj_map[1])
+    q = FunctorData(iso, glued, ends, (
+        glued.identities[ends[0]],
+        glued.identities[ends[1]],
+        glued.table[n1.mor_map[2]][n2.mor_map[2]],
+        glued.table[n2.mor_map[3]][n1.mor_map[3]],
+    ))
+    return CoCategoryData(q0=point, q1=iso, l=l, r=r, i=i, q=q, double=double)
+
+
+class TestSolveCoinverse:
+    """The forced search agrees with exhaustive enumeration: an s exists
+    for both or neither, and the solver's s is the first candidate."""
+
+    def _agree(self, data):
+        solutions, searched = coinverse_candidates(CAT, data)
+        s = CAT.solve_coinverse(data)
+        assert s == (solutions[0] if solutions else None)
+        return s, searched
+
+    def test_interval(self):
+        assert self._agree(interval_cocategory()) == (None, 3)
+
+    @pytest.mark.parametrize("c, s", DISCRETE_SHAPES)
+    def test_discrete_cokernel_pairs(self, c, s):
+        data = discrete_cokernel(c, s)
+        assert check_cocategory(CAT, data).ok
+        found, _ = self._agree(data)
+        assert found is not None
+
+    def test_walking_iso_interval(self):
+        data = walking_iso_interval()
+        assert check_cocategory(CAT, data).ok
+        found, searched = self._agree(data)
+        assert searched == 4
+        assert found.obj_map == (1, 0) and found.mor_map == (1, 0, 3, 2)
+        cls = classify(CAT, data)
+        assert (cls.is_cocategory, cls.is_copreorder, cls.is_cogroupoid,
+                cls.is_coequivalence) == (True, False, True, False)
+
+    def test_legs_missing_objects_are_undecided(self):
+        # l = r = object 0 of the arrow: s is forced on it alone
+        iv = interval_cocategory()
+        data = CoCategoryData(iv.q0, iv.q1, iv.l, iv.l, iv.i, iv.q, iv.double)
+        with pytest.raises(UnsupportedCapability, match="not forced"):
+            CAT.solve_coinverse(data)
+        with pytest.raises(UnsupportedCapability):
+            find_coinverse(CAT, data)
+
+
 class TestJointEpiSearch:
     def test_interval_witness_found(self):
         iv = interval_cocategory()
-        found = joint_epi_counterexample(iv, 6)
-        assert found is not None
-        c, first, second = found
-        assert c.n_morphisms <= 6
+        status, info = CAT.joint_epi_status((iv.l, iv.r))
+        assert status is False
+        first, second = info["functors"]
+        assert info["category"].n_morphisms <= JOINT_EPI_BOUND
         assert first != second
         assert functor_compose(iv.l, first) == functor_compose(iv.l, second)
         assert functor_compose(iv.r, first) == functor_compose(iv.r, second)
 
     def test_trivial_unknown_at_small_bound(self):
         data = cokernel_pair(CAT, functor_identity(terminal_category()))
-        assert joint_epi_counterexample(data, 3) is None
+        assert joint_epi_counterexample_for_maps([data.l, data.r]) is None
         # l = r = identity: the images generate Q1, so this is decided
         status, info = CAT.joint_epi_status((data.l, data.r))
         assert status is True
@@ -219,7 +302,7 @@ class TestJointEpiSearch:
         pair = discrete_category(2)
         data = cokernel_pair(CAT, functor_identity(pair))
         assert check_cocategory(CAT, data).ok
-        assert joint_epi_counterexample(data, 3) is None
+        assert joint_epi_counterexample_for_maps([data.l, data.r]) is None
 
 
 class TestCategoryEnumeration:
