@@ -39,8 +39,8 @@ from .core import check_cocategory, coinverse_candidates
 MAX_Q0 = 3
 MAX_Q1 = 6
 
+# formats.CATEGORIES, spelled out so that importing cli loads no formats
 CATEGORIES = ("finset", "abgp", "chain", "cat")
-EXAMPLES = ("finset-cokernel", "abgp-example", "chain-example", "cat-interval", "universal")
 
 
 @dataclass
@@ -202,7 +202,7 @@ def _verify_universal(report: Report) -> None:
     for m in monos:
         pulled = finset.pullback_cocategory(finset.classifying_map(m))
         direct = finset.cokernel_pair_cocategory(m)
-        if finset.iso_cocategories(pulled, direct) is None:
+        if finset.iso_cocategories(pulled, direct, fix_q0=True) is None:
             ok = False
             break
     report.add("pullback-roundtrip-on-builtin-monos", ok,
@@ -219,7 +219,7 @@ _VERIFIERS: dict[str, Callable[[Report], None]] = {
 
 
 @main.command()
-@click.argument("example", type=click.Choice(EXAMPLES))
+@click.argument("example", type=click.Choice(tuple(_VERIFIERS)))
 @_format_option
 def verify(example: str, fmt: str) -> None:
     """Build a named example and check all its expected properties."""

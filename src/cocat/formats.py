@@ -2,16 +2,18 @@
 
 Every document is line-oriented.  Blank lines and ``#`` comments are
 ignored.  The first entry must be ``category: <finset|abgp|chain|cat>``;
-the remaining sections depend on the host category.  Pushout witnesses
-are never stored: the parser recomputes the double pushout canonically,
-and the q tables refer to its apex (for finite sets: quotient classes
-ordered by smallest member of the disjoint union, first copy first; for
-finite categories: identities per glued object first, then reduced
-words ordered by length then content).  Omitted blocks are read as
-zeros, so every declared size is checked against ``MAX_SIZE`` before
-anything is built: a finite set's size, a group's rank, a complex's
-total rank and degree count, a finite category's object and morphism
-counts, and (against twice the cap) a matrix block's dimensions.
+Q0, Q1, l, r, i and q follow.  Each host is one entry of ``_HOSTS``,
+whose object and map writers write the fields its readers read.
+Pushout witnesses are never stored: the parser recomputes the double
+pushout canonically, and the q tables refer to its apex (for finite
+sets: quotient classes ordered by smallest member of the disjoint
+union, first copy first; for finite categories: identities per glued
+object first, then reduced words ordered by length then content).
+Omitted blocks are read as zeros, so every declared size is checked
+against ``MAX_SIZE`` before anything is built: a finite set's size, a
+group's rank, a complex's total rank and degree count, a finite
+category's object and morphism counts, and (against twice the cap) a
+matrix block's dimensions.
 
 finset::
 
@@ -57,7 +59,8 @@ degree k to k-1, and structure matrices ``<name>-<degree>``::
 
 cat -- explicit categories (morphism lines are ``src tgt``, composition
 lines are ``f g h`` meaning "f then g equals h", identity composites
-may be omitted) and functors as index lists::
+may be omitted; a row must agree with the identity laws and with every
+other row) and functors as index lists::
 
     category: cat
     q0-objects: 1
@@ -99,8 +102,6 @@ class ParseError(CocatError):
 
 
 _KEY_RE = re.compile(r"^([a-z0-9-]+):\s*(.*?)\s*$")
-
-CATEGORIES = ("finset", "abgp", "chain", "cat")
 
 # The largest size a document may declare; a short document must not
 # make the parser build large matrices out of omitted blocks.
@@ -251,13 +252,12 @@ def _finset(doc: _Doc, name: str) -> fs.FinSetObj:
     return fs.FinSetObj(size)
 
 
-def write_finset(data: CoCategoryData) -> str:
-    lines = ["category: finset",
-             f"q0: {data.q0.size}",
-             f"q1: {data.q1.size}"]
-    for name, m in (("l", data.l), ("r", data.r), ("i", data.i), ("q", data.q)):
-        lines.append(f"{name}: {' '.join(map(str, m.table))}".rstrip())
-    return "\n".join(lines) + "\n"
+def _finset_lines(name: str, x: fs.FinSetObj) -> list[str]:
+    return [f"{name}: {x.size}"]
+
+
+def _finmap_lines(name: str, m: fs.FinMap) -> list[str]:
+    return [f"{name}: {' '.join(map(str, m.table))}".rstrip()]
 
 
 # ---------------------------------------------------------------------------
@@ -295,17 +295,15 @@ def _group(doc: _Doc, name: str) -> ab.FgAbGroup:
     return ab.FgAbGroup(rank)
 
 
-def write_abgp(data: CoCategoryData) -> str:
-    lines = ["category: abgp",
-             f"q0: {data.q0.rank}"]
-    if not data.q0.is_free:
-        lines.extend(_matrix_block("q0-relations", data.q0.relations))
-    lines.append(f"q1: {data.q1.rank}")
-    if not data.q1.is_free:
-        lines.extend(_matrix_block("q1-relations", data.q1.relations))
-    for name, m in (("l", data.l), ("r", data.r), ("i", data.i), ("q", data.q)):
-        lines.extend(_matrix_block(name, m.matrix))
-    return "\n".join(lines) + "\n"
+def _group_lines(name: str, g: ab.FgAbGroup) -> list[str]:
+    lines = [f"{name}: {g.rank}"]
+    if not g.is_free:
+        lines.extend(_matrix_block(f"{name}-relations", g.relations))
+    return lines
+
+
+def _abmap_lines(name: str, m: ab.AbMap) -> list[str]:
+    return _matrix_block(name, m.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +345,20 @@ def _chainmap(doc: _Doc, name: str, dom: ch.ChainComplex, cod: ch.ChainComplex) 
         raise ParseError(f"field '{name}-*': {exc}")
 
 
-def write_chain(data: CoCategoryData) -> str:
-    lines = ["category: chain"]
-    for name, x in (("q0", data.q0), ("q1", data.q1)):
-        lines.append(f"{name}-ranks: {' '.join(map(str, x.ranks))}")
-        for d in range(1, x.max_degree + 1):
-            if not x.diff(d).is_zero():
-                lines.extend(_matrix_block(f"{name}-d{d}", x.diff(d)))
-    for name, m in (("l", data.l), ("r", data.r), ("i", data.i), ("q", data.q)):
-        for d, mat in enumerate(m.mats):
-            if not mat.is_zero() or (mat.rows and mat.cols):
-                lines.extend(_matrix_block(f"{name}-{d}", mat))
-    return "\n".join(lines) + "\n"
+def _complex_lines(name: str, x: ch.ChainComplex) -> list[str]:
+    lines = [f"{name}-ranks: {' '.join(map(str, x.ranks))}"]
+    for d in range(1, x.max_degree + 1):
+        if not x.diff(d).is_zero():
+            lines.extend(_matrix_block(f"{name}-d{d}", x.diff(d)))
+    return lines
+
+
+def _chainmap_lines(name: str, m: ch.ChainMap) -> list[str]:
+    lines = []
+    for d, mat in enumerate(m.mats):
+        if mat.rows and mat.cols:
+            lines.extend(_matrix_block(f"{name}-{d}", mat))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +378,18 @@ def _category(doc: _Doc, name: str) -> fc.FinCategory:
     if any(not 0 <= e < m for e in identities):
         raise ParseError(f"field '{name}-identities': morphism index out of range")
     table: list[list[Optional[int]]] = [[None] * m for _ in range(m)]
-    if doc.has(f"{name}-compose"):
-        for f, g, h in doc.rows(f"{name}-compose", 3):
-            if not (0 <= f < m and 0 <= g < m and 0 <= h < m):
-                raise ParseError(f"field '{name}-compose': morphism index out of range")
-            table[f][g] = h
     for f in range(m):
         if 0 <= src[f] < n_obj and 0 <= tgt[f] < n_obj:
             table[identities[src[f]]][f] = f
             table[f][identities[tgt[f]]] = f
+    if doc.has(f"{name}-compose"):
+        for f, g, h in doc.rows(f"{name}-compose", 3):
+            if not (0 <= f < m and 0 <= g < m and 0 <= h < m):
+                raise ParseError(f"field '{name}-compose': morphism index out of range")
+            if table[f][g] not in (None, h):
+                raise ParseError(f"field '{name}-compose': row '{f} {g} {h}': "
+                                 f"{f} then {g} is already {table[f][g]}")
+            table[f][g] = h
     try:
         cat = fc.FinCategory(n_obj, src, tgt, identities,
                              tuple(tuple(row) for row in table))
@@ -420,46 +423,37 @@ def _category_block(name: str, c: fc.FinCategory) -> list[str]:
     return lines
 
 
-def write_cat(data: CoCategoryData) -> str:
-    lines = ["category: cat"]
-    lines.extend(_category_block("q0", data.q0))
-    lines.extend(_category_block("q1", data.q1))
-    for name, f in (("l", data.l), ("r", data.r), ("i", data.i), ("q", data.q)):
-        lines.append(f"{name}-obj: {' '.join(map(str, f.obj_map))}")
-        lines.append(f"{name}-mor: {' '.join(map(str, f.mor_map))}")
-    return "\n".join(lines) + "\n"
+def _functor_lines(name: str, f: fc.FunctorData) -> list[str]:
+    return [f"{name}-obj: {' '.join(map(str, f.obj_map))}",
+            f"{name}-mor: {' '.join(map(str, f.mor_map))}"]
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 
 
-# host module and its engine, object reader, map reader
-_READERS = {
-    "finset": ("finset", "FINSET", _finset, _finmap),
-    "abgp": ("abgp", "ABGP", _group, _abmap),
-    "chain": ("chain", "CH", _complex, _chainmap),
-    "cat": ("fincat", "CAT", _category, _functor),
+# host module and its engine, object reader, map reader, object writer,
+# map writer; each writer writes the fields its reader reads
+_HOSTS = {
+    "finset": ("finset", "FINSET", _finset, _finmap, _finset_lines, _finmap_lines),
+    "abgp": ("abgp", "ABGP", _group, _abmap, _group_lines, _abmap_lines),
+    "chain": ("chain", "CH", _complex, _chainmap, _complex_lines, _chainmap_lines),
+    "cat": ("fincat", "CAT", _category, _functor, _category_block, _functor_lines),
 }
 
-_WRITERS = {
-    "finset": write_finset,
-    "abgp": write_abgp,
-    "chain": write_chain,
-    "cat": write_cat,
-}
+CATEGORIES = tuple(_HOSTS)
 
 
 def engine(category: str) -> CategoryCapabilities:
     """The host engine that documents of ``category`` are read into,
     importing its module on first use."""
-    module, name = _READERS[category][:2]
+    module, name = _HOSTS[category][:2]
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def _parse(doc: _Doc, category: str) -> CoCategoryData:
     host = engine(category)
-    read_object, read_map = _READERS[category][2:]
+    read_object, read_map = _HOSTS[category][2:4]
     q0 = read_object(doc, "q0")
     q1 = read_object(doc, "q1")
     l = read_map(doc, "l", q0, q1)
@@ -477,7 +471,7 @@ def parse_document(text: str, expected_category: Optional[str] = None
                    ) -> tuple[str, CoCategoryData]:
     doc = _Doc(text)
     category = doc.word("category")
-    if category not in _READERS:
+    if category not in _HOSTS:
         raise ParseError(f"field 'category': unknown host '{category}', "
                          f"expected one of {', '.join(CATEGORIES)}")
     if expected_category is not None and category != expected_category:
@@ -487,6 +481,11 @@ def parse_document(text: str, expected_category: Optional[str] = None
 
 
 def write_document(category: str, data: CoCategoryData) -> str:
-    if category not in _WRITERS:
+    if category not in _HOSTS:
         raise ParseError(f"unknown host category '{category}'")
-    return _WRITERS[category](data)
+    object_lines, map_lines = _HOSTS[category][4:]
+    lines = [f"category: {category}", *object_lines("q0", data.q0),
+             *object_lines("q1", data.q1)]
+    for name in ("l", "r", "i", "q"):
+        lines.extend(map_lines(name, getattr(data, name)))
+    return "\n".join(lines) + "\n"

@@ -24,6 +24,10 @@ EXAMPLE_DOCUMENTS = {
     "cat": (fincat.CAT, fincat.interval_cocategory),
 }
 
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CAT = (GOLDEN / "cat.txt").read_text(encoding="utf-8")
+GOLDEN_COMPOSITE = (GOLDEN / "cat-composite.txt").read_text(encoding="utf-8")
+
 
 @pytest.fixture
 def runner():
@@ -276,6 +280,26 @@ class TestClassify:
         assert result.exit_code == 2
         assert f"ParseError: field '{field}'" in result.output
         assert "exceeds the cap" in result.output
+
+    @pytest.mark.parametrize("text, message", [
+        # the interval with "a then id1 = id0", against the right identity law
+        (GOLDEN_CAT.replace("q1-identities: 0 1\n", "q1-identities: 0 1\nq1-compose:\n2 1 0\n"),
+         "field 'q1-compose': row '2 1 0': 2 then 1 is already 2"),
+        # two rows for a then b; the later one alone would be right
+        (GOLDEN_COMPOSITE.replace("q1-compose:\n3 4 5\n", "q1-compose:\n3 4 0\n3 4 5\n"),
+         "field 'q1-compose': row '3 4 5': 3 then 4 is already 0"),
+        # one object, morphisms id, a, b, and every product of a and b is id
+        ("category: cat\nq0-objects: 1\nq0-morphisms:\n0 0\nq0-identities: 0\n"
+         "q1-objects: 1\nq1-morphisms:\n0 0\n0 0\n0 0\nq1-identities: 0\n"
+         "q1-compose:\n1 1 0\n1 2 0\n2 1 0\n2 2 0\n",
+         "field 'q1-*': associativity fails at (1, 1, 2)"),
+    ], ids=["identity-law", "second-row", "non-associative"])
+    def test_inconsistent_composition_is_parse_error(self, runner, tmp_path, text, message):
+        path = tmp_path / "category.txt"
+        path.write_text(text)
+        result = runner.invoke(main, ["classify", "--category", "cat", "--file", str(path)])
+        assert result.exit_code == 2
+        assert f"ParseError: {message}" in result.output
 
     def test_wrong_category_flag(self, runner, tmp_path):
         text = formats.write_document("abgp", abgp.group_example_cocategory())

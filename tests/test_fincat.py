@@ -44,15 +44,19 @@ class TestValidation:
         check_category(discrete_category(3))
 
     def test_bad_identity_law(self):
-        # table[id][a] wrong on purpose
-        table = (
-            (0, None, 0),
-            (None, 1, None),
-            (None, 2, None),
-        )
-        c = FinCategory(2, (0, 1, 0), (0, 1, 1), (0, 1), table)
-        with pytest.raises(NonComposable):
-            check_category(c)
+        # parallel a, b: 0 -> 1, and id0 then a (or a then id1) is b, so
+        # the composite has the right endpoints and only the law fails
+        for (f, g), side in (((0, 2), "left"), ((2, 1), "right")):
+            table = [
+                [0, None, 2, 3],
+                [None, 1, None, None],
+                [None, 2, None, None],
+                [None, 3, None, None],
+            ]
+            table[f][g] = 3
+            c = FinCategory(2, (0, 1, 0, 0), (0, 1, 1, 1), (0, 1), tuple(map(tuple, table)))
+            with pytest.raises(NonComposable, match=f"{side} identity law fails at 2"):
+                check_category(c)
 
     def test_missing_composite(self):
         table = (

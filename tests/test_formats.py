@@ -142,8 +142,11 @@ class TestDiagnostics:
         ("category: cat\nq0-objects: 1\nq0-morphisms:\n0 0\nq0-identities: 0\n"
          "q1-objects: 1\nq1-morphisms:\n0 0\nq1-identities: 0\nl-obj: 0\nl-mor: 1\n",
          "l-\\*"),
+        # composition row past the morphism list
+        ("category: cat\nq0-objects: 1\nq0-morphisms:\n0 0\nq0-identities: 0\n"
+         "q0-compose:\n0 0 1\n", "q0-compose"),
     ], ids=["cat-identity-index", "finset-negative-size", "chain-degree-mismatch",
-            "cat-functor-index"])
+            "cat-functor-index", "cat-compose-index"])
     def test_malformed_is_parse_error(self, text, field):
         with pytest.raises(ParseError, match=f"'{field}'"):
             parse_document(text)
@@ -169,6 +172,13 @@ class TestDiagnostics:
                 "q-obj: 0 0\nq-mor: 0 0 0 0\n")
         with pytest.raises(ParseError, match="q1"):
             parse_document(text)
+
+    def test_compose_row_restating_an_identity_law(self):
+        # "a then id1 = a" is what the parser fills in anyway
+        text = _written("cat").replace("q1-identities: 0 1\n",
+                                       "q1-identities: 0 1\nq1-compose:\n2 1 2\n2 1 2\n")
+        assert "q1-compose" in text
+        assert parse_document(text)[1] == EXAMPLES["cat"]()
 
     def test_corrupted_q_still_parses_but_fails_axioms(self):
         # in-range corruption is not a parse error; the checker
