@@ -447,13 +447,13 @@ CATEGORIES = tuple(_HOSTS)
 def engine(category: str) -> CategoryCapabilities:
     """The host engine that documents of ``category`` are read into,
     importing its module on first use."""
-    module, name = _HOSTS[category][:2]
+    module, name, *_ = _HOSTS[category]
     return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def _parse(doc: _Doc, category: str) -> CoCategoryData:
     host = engine(category)
-    read_object, read_map = _HOSTS[category][2:4]
+    _, _, read_object, read_map, _, _ = _HOSTS[category]
     q0 = read_object(doc, "q0")
     q1 = read_object(doc, "q1")
     l = read_map(doc, "l", q0, q1)
@@ -483,7 +483,7 @@ def parse_document(text: str, expected_category: Optional[str] = None
 def write_document(category: str, data: CoCategoryData) -> str:
     if category not in _HOSTS:
         raise ParseError(f"unknown host category '{category}'")
-    object_lines, map_lines = _HOSTS[category][4:]
+    _, _, _, _, object_lines, map_lines = _HOSTS[category]
     lines = [f"category: {category}", *object_lines("q0", data.q0),
              *object_lines("q1", data.q1)]
     for name in ("l", "r", "i", "q"):

@@ -58,6 +58,17 @@ class TestValidation:
             with pytest.raises(NonComposable, match=f"{side} identity law fails at 2"):
                 check_category(c)
 
+    def test_wrong_endpoints(self):
+        # id0 then a is set to id0, an arrow 0 -> 0 where 0 -> 1 is due
+        table = (
+            (0, None, 0),
+            (None, 1, None),
+            (None, 2, None),
+        )
+        c = FinCategory(2, (0, 1, 0), (0, 1, 1), (0, 1), table)
+        with pytest.raises(NonComposable, match=r"composite of \(0, 2\) has wrong endpoints"):
+            check_category(c)
+
     def test_missing_composite(self):
         table = (
             (0, None, 2),
