@@ -1,22 +1,32 @@
-"""Golden documents: each file in ``tests/golden/`` is, byte for byte, the
-document its builder writes, and parsing it writes the same bytes back.
+"""Golden files: each document in ``tests/golden/`` is, byte for byte,
+the document its builder writes, and parsing it writes the same bytes
+back; each report in ``tests/golden/reports/`` is the output and exit
+code of one CLI command; and ``tests/golden/structures-3-6.sha256``
+digests every structure ``enumerate_cocategories(3, 6)`` yields.
 
-A deliberate change of the document format regenerates the files with
+A deliberate change of the document format or of a report regenerates
+the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and the diff of ``tests/golden/`` shows the change.
 """
 
+import difflib
+import hashlib
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from cocat import abgp, chain, core, fincat, finset
+from cocat.cli import main
 from cocat.formats import parse_document, write_document
 from cocat.intmatrix import IntMatrix
 
 GOLDEN = Path(__file__).parent / "golden"
+REPORTS = GOLDEN / "reports"
+DIGEST = GOLDEN / "structures-3-6.sha256"
 
 
 def _abgp_empty_q0() -> core.CoCategoryData:
@@ -84,8 +94,52 @@ DOCUMENTS = {
 }
 
 
+# report name -> cocat arguments, without --format; a --file path is
+# relative to the repository root
+_COMMANDS = {
+    **{f"verify-{example}": ["verify", example] for example in
+       ("finset-cokernel", "abgp-example", "chain-example", "cat-interval", "universal")},
+    "pipeline": ["pipeline"],
+    **{f"enumerate-{n0}-{n1}": ["enumerate", "--q0-max", str(n0), "--q1-max", str(n1),
+                                "--verify-theorem", "--count-iso"]
+       for n0, n1 in ((2, 4), (3, 5))},
+    **{f"classify-{doc}": ["classify", "--category", host, "--file", f"tests/golden/{doc}.txt"]
+       for doc, (host, _) in DOCUMENTS.items()},
+}
+REPORT_NAMES = [f"{name}.{fmt}" for name in _COMMANDS for fmt in ("human", "json")]
+
+
 def _golden(name: str) -> str:
     return (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def _report(name: str) -> str:
+    """The command line, its stdout and its exit code, as one text."""
+    command, fmt = name.rsplit(".", 1)
+    args = _COMMANDS[command] + ["--format", fmt]
+    resolved = [str(GOLDEN.parent.parent / a) if a.startswith("tests/") else a for a in args]
+    result = CliRunner().invoke(main, resolved)
+    return f"$ cocat {' '.join(args)}\n{result.stdout}exit code: {result.exit_code}\n"
+
+
+def _digest() -> str:
+    """SHA-256 over the tables of every structure at (3, 6), in order."""
+    h = hashlib.sha256()
+    count = 0
+    for data in finset.enumerate_cocategories(3, 6):
+        nu1, nu2 = data.double.injections
+        h.update(repr((data.q0.size, data.q1.size, data.l.table, data.r.table, data.i.table,
+                       data.q.table, nu1.table, nu2.table)).encode() + b"\n")
+        count += 1
+    return f"{h.hexdigest()}  {count} structures of enumerate_cocategories(3, 6)\n"
+
+
+def _assert_same(expected: str, actual: str, label: str) -> None:
+    if actual != expected:
+        diff = difflib.unified_diff(expected.splitlines(keepends=True),
+                                    actual.splitlines(keepends=True),
+                                    f"{label} (golden)", f"{label} (now)")
+        pytest.fail("".join(diff), pytrace=False)
 
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
@@ -100,11 +154,34 @@ def test_golden_document_writes_back_unchanged(name):
     assert write_document(*parse_document(text)) == text
 
 
+@pytest.mark.parametrize("name", REPORT_NAMES)
+def test_report_is_golden(name):
+    path = REPORTS / f"{name}.txt"
+    _assert_same(path.read_text(encoding="utf-8"), _report(name), str(path))
+
+
+def test_structure_digest_is_golden():
+    _assert_same(DIGEST.read_text(encoding="utf-8"), _digest(), str(DIGEST))
+
+
+def test_no_orphaned_golden_file():
+    expected = {f"{name}.txt" for name in DOCUMENTS} | {DIGEST.name, REPORTS.name}
+    assert {p.name for p in GOLDEN.iterdir()} == expected
+    assert {p.name for p in REPORTS.iterdir()} == {f"{name}.txt" for name in REPORT_NAMES}
+
+
+def _write(path: Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def regenerate() -> None:
-    GOLDEN.mkdir(exist_ok=True)
+    REPORTS.mkdir(parents=True, exist_ok=True)
     for name, (host, build) in DOCUMENTS.items():
-        with open(GOLDEN / f"{name}.txt", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(write_document(host, build()))
+        _write(GOLDEN / f"{name}.txt", write_document(host, build()))
+    for name in REPORT_NAMES:
+        _write(REPORTS / f"{name}.txt", _report(name))
+    _write(DIGEST, _digest())
 
 
 if __name__ == "__main__":
