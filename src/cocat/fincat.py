@@ -323,7 +323,7 @@ def pushout_cats(f: FunctorData, g: FunctorData) -> PushoutWitness:
         apex=apex,
         injections=(injection(0, a), injection(1, b)),
         legs=(f, g),
-        payload={"words": tuple(all_words), "objects": objects},
+        payload={"words": tuple(all_words)},
     )
 
 
@@ -334,16 +334,12 @@ def copair_cats(witness: PushoutWitness, u: FunctorData, v: FunctorData) -> Func
     if u.cod != v.cod:
         raise TypeMismatch("copair: cocone legs must share a codomain")
     f, g = witness.legs
-    if functor_compose(f, u) != functor_compose(g, v):
-        raise CoconeMismatch("cocone condition u.f = v.g fails")
     apex: FinCategory = witness.apex
+    obj_map = fs.factor(apex.n_objects, i1.obj_map, i2.obj_map, u.obj_map, v.obj_map)
+    if obj_map is None or functor_compose(f, u) != functor_compose(g, v):
+        raise CoconeMismatch("cocone condition u.f = v.g fails")
     x = u.cod
     words = witness.payload["words"]
-    objects = witness.payload["objects"]
-    target = fs.FinSetObj(x.n_objects)
-    obj_map = fs.copair(objects,
-                        fs.FinMap(objects.injections[0].dom, target, u.obj_map),
-                        fs.FinMap(objects.injections[1].dom, target, v.obj_map)).table
 
     mor_map = []
     for m in range(apex.n_morphisms):
@@ -388,19 +384,18 @@ class Cat(CategoryCapabilities):
         """The first co-inverse in functor order, or None when none exists.
 
         Taking objects keeps pushouts, so on a co-category l and r cover
-        ob Q1, and s.l = r, s.r = l force the object map of s as in
-        ``FinSet.solve_coinverse``; only the functors over it are tried.
-        Legs that miss ob Q1 raise :class:`UnsupportedCapability`."""
+        ob Q1, and s.l = r, s.r = l force the object map of s through
+        ``finset.factor``; only the functors over it are tried.  An
+        object conflict returns None, and legs that miss ob Q1 raise
+        :class:`UnsupportedCapability`."""
         q1 = data.q1
         if data.l.cod != q1 or data.r.cod != q1:
             raise TypeMismatch("co-inverse: l and r must land in Q1")
         l, r = data.l.obj_map, data.r.obj_map
-        obj_map = fs._fill_copair_table(q1.n_objects, l, r, r, l)
+        obj_map = fs.factor(q1.n_objects, l, r, r, l)
         if obj_map is None:
             return None
-        if None in obj_map:
-            raise UnsupportedCapability("cat: l and r miss objects of Q1, so s is not forced")
-        for s in _functors_over(q1, q1, tuple(obj_map)):
+        for s in _functors_over(q1, q1, obj_map):
             if coinverse_violation(self, data, s) is None:
                 return s
         return None

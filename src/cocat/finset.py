@@ -18,9 +18,10 @@ the transported witness equals the one ``pushout`` builds.
 The counit laws alone make l and r cover Q1 on every co-category, so
 an (l, r, i) whose legs do not is rejected before any pushout, and
 each map out of Q1 that the axioms fix on im(l) and im(r) is forced,
-not searched: the co-composition q, a co-inverse s, and the f1 of a
-co-category morphism given its f0; where legs miss Q1, s and f1 raise
-instead of trying every map.  Covering legs are jointly epi, so the
+not searched, by one function, ``factor``: the co-composition q, a
+co-inverse s, and the f1 of a co-category morphism given its f0.  A
+conflict proves no such map exists; legs that miss Q1 with no conflict
+raise instead of trying every map.  Covering legs are jointly epi, so the
 compat laws that force q imply the counit and co-associativity laws
 too: covering sections l, r of i complete in exactly one way.
 
@@ -249,21 +250,23 @@ def pushout(f: FinMap, g: FinMap) -> PushoutWitness:
     return PushoutWitness(apex=apex, injections=(inj1, inj2), legs=(f, g))
 
 
-def _fill_copair_table(apex: int, inj1: tuple, inj2: tuple,
-                       val1, val2) -> Optional[list[int]]:
-    """Table of the copairing, or None when the cocone condition fails."""
-    table: list[Optional[int]] = [None] * apex
-    for pos, val in zip(inj1, val1):
+def factor(size: int, leg1, leg2, val1, val2) -> Optional[tuple[int, ...]]:
+    """The h on ``range(size)`` with h[leg1[x]] = val1[x], h[leg2[x]] = val2[x];
+    None when two values meet at one element, and a raise where legs miss one."""
+    table: list[Optional[int]] = [None] * size
+    for pos, val in zip(leg1, val1):
         if table[pos] is None:
             table[pos] = val
         elif table[pos] != val:
             return None
-    for pos, val in zip(inj2, val2):
+    for pos, val in zip(leg2, val2):
         if table[pos] is None:
             table[pos] = val
         elif table[pos] != val:
             return None
-    return table  # type: ignore[return-value]
+    if None in table:
+        raise UnsupportedCapability(f"legs miss element {table.index(None)}: not forced")
+    return tuple(table)  # type: ignore[arg-type]
 
 
 def copair(witness: PushoutWitness, u: FinMap, v: FinMap) -> FinMap:
@@ -273,12 +276,13 @@ def copair(witness: PushoutWitness, u: FinMap, v: FinMap) -> FinMap:
         raise TypeMismatch("copair: cocone legs do not match the span")
     if u.cod is not v.cod:
         raise TypeMismatch("copair: cocone legs must share a codomain")
-    table = _fill_copair_table(witness.apex.size, i1.table, i2.table, u.table, v.table)
+    try:
+        table = factor(witness.apex.size, i1.table, i2.table, u.table, v.table)
+    except UnsupportedCapability:
+        raise IllFormedPushout("injections do not cover the apex") from None
     if table is None:
         raise CoconeMismatch("legs disagree on a glued apex element")
-    if None in table:
-        raise IllFormedPushout("injections do not cover the apex")
-    return FinMap(witness.apex, u.cod, tuple(table))
+    return FinMap(witness.apex, u.cod, table)
 
 
 def pullback(f: FinMap, g: FinMap) -> tuple[FinSetObj, FinMap, FinMap]:
@@ -361,21 +365,19 @@ class FinSet(CategoryCapabilities):
     def solve_coinverse(self, data):
         """The co-inverse, or None when provably none exists.
 
-        s.l = r and s.r = l force s on the images of l and r, which
-        cover Q1 on every co-category, so one table is checked.  Legs
-        that miss Q1 leave s unforced and raise
+        s.l = r and s.r = l force s through ``factor`` on the images of
+        l and r, which cover Q1 on every co-category, so one table is
+        checked.  Legs that miss Q1 leave s unforced and raise
         :class:`UnsupportedCapability`.
         """
         q1 = data.q1
         if data.l.cod != q1 or data.r.cod != q1:
             raise TypeMismatch("co-inverse: l and r must land in Q1")
         l, r = data.l.table, data.r.table
-        table = _fill_copair_table(q1.size, l, r, r, l)
+        table = factor(q1.size, l, r, r, l)
         if table is None:
             return None
-        if None in table:
-            raise UnsupportedCapability("finset: l and r miss Q1, so s is not forced")
-        s = FinMap(q1, q1, tuple(table))
+        s = FinMap(q1, q1, table)
         return s if coinverse_violation(self, data, s) is None else None
 
     def is_pushout(self, witness):
@@ -635,7 +637,7 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     r(i(b)) in im(r), so no w folds back to z on both sides.
 
     Legs that cover Q1 have exactly one, which needs no test: the q that
-    the compat laws q.l = nu1.l and q.r = nu2.r force.  The forced table
+    the compat laws q.l = nu1.l and q.r = nu2.r force through ``factor``.  The forced table
     has no conflict: l(a) = r(b) gives a = i(l(a)) = i(r(b)) = b, and
     then nu1(l(a)) = nu1(r(a)) = nu2(l(a)) = nu2(r(a)).  Each side of
     each counit and co-associativity law is a map out of Q1, and the
@@ -645,9 +647,9 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
         return
     double = pushout(r, l)
     nu1, nu2 = (m.table for m in double.injections)
-    qt = _fill_copair_table(q1.size, l.table, r.table,
-                            [nu1[e] for e in l.table], [nu2[e] for e in r.table])
-    yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, tuple(qt)), double)
+    qt = factor(q1.size, l.table, r.table,
+                [nu1[e] for e in l.table], [nu2[e] for e in r.table])
+    yield CoCategoryData(q0, q1, l, r, i, FinMap(q1, double.apex, qt), double)
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +721,17 @@ _SEARCH_CAP = 1_000_000     # the most f0 a morphism search tries
 def _forced_morphisms(src: CoCategoryData, dst: CoCategoryData,
                       f0s: Iterable[FinMap]) -> Iterator[tuple[FinMap, FinMap]]:
     """(f0, f1) for each f0 in ``f0s`` whose l- and r-squares agree:
-    f1.l = l'.f0 and f1.r = r'.f0 force f1 on the images of src's l and
-    r, which cover its Q1 on every co-category.  Legs that miss Q1
-    leave f1 unforced and raise :class:`UnsupportedCapability`."""
-    if uncovered([src.l, src.r]):
-        raise UnsupportedCapability("finset: l and r miss Q1, so f1 is not forced")
+    f1.l = l'.f0 and f1.r = r'.f0 force f1 through ``factor`` on the
+    images of src's l and r, which cover its Q1 on every co-category.
+    An f0 whose squares conflict has no f1 and is skipped; the first f0
+    without a conflict, where legs miss Q1, raises
+    :class:`UnsupportedCapability`."""
     l, r, dl, dr = src.l.table, src.r.table, dst.l.table, dst.r.table
     for f0 in f0s:
         p0 = f0.table
-        table = _fill_copair_table(src.q1.size, l, r, [dl[x] for x in p0], [dr[x] for x in p0])
+        table = factor(src.q1.size, l, r, [dl[x] for x in p0], [dr[x] for x in p0])
         if table is not None:
-            yield f0, FinMap(src.q1, dst.q1, tuple(table))
+            yield f0, FinMap(src.q1, dst.q1, table)
 
 
 def cocat_morphisms(src: CoCategoryData, dst: CoCategoryData) -> list[tuple[FinMap, FinMap]]:

@@ -268,6 +268,15 @@ class TestSolveCoinverse:
         assert (cls.is_cocategory, cls.is_copreorder, cls.is_cogroupoid,
                 cls.is_coequivalence) == (True, False, True, False)
 
+    def test_object_conflict_has_no_coinverse(self):
+        # s.l = r sends both objects to 0, but s.r = l needs s(0) = 1
+        q = discrete_category(2)
+        l = FunctorData(q, q, (0, 1), (0, 1))
+        r = FunctorData(q, q, (0, 0), (0, 0))
+        double = CAT.pushout(r, l)
+        data = CoCategoryData(q, q, l, r, functor_identity(q), double.injections[0], double)
+        assert self._agree(data) == (None, 4)
+
     def test_legs_missing_objects_are_undecided(self):
         # l = r = object 0 of the arrow: s is forced on it alone
         iv = interval_cocategory()

@@ -22,6 +22,7 @@ from cocat import finset
 from cocat.core import (
     CoCategoryData,
     CoconeMismatch,
+    IllFormedPushout,
     NotMono,
     PushoutWitness,
     SizeLimit,
@@ -38,7 +39,6 @@ from cocat.finset import (
     FinMap,
     FinSetObj,
     Subobject,
-    _fill_copair_table,
     _fibre_shuffles,
     _q_candidates,
     _representative_triples,
@@ -50,6 +50,7 @@ from cocat.finset import (
     copair,
     enumerate_cocategories,
     equalizer,
+    factor,
     identity,
     image,
     inverse,
@@ -328,6 +329,33 @@ class TestPushout:
                         with pytest.raises(CoconeMismatch):
                             FINSET.copair(w, u, v)
 
+    def test_factor_by_exhaustion(self):
+        # legs from a set of size <= 2 into one of size <= 3, values in a
+        # set of size <= 2, against every map h out of the size-3 set
+        cases = 0
+        for size, a, b in itertools.product(range(4), range(3), range(3)):
+            tables = [list(itertools.product(range(n), repeat=a)) for n in (size, size, b, b)]
+            for leg1, leg2, val1, val2 in itertools.product(*tables):
+                cases += 1
+                solutions = [h for h in itertools.product(range(b), repeat=size)
+                             if all(h[p] == v for p, v in zip(leg1 + leg2, val1 + val2))]
+                if b and not solutions:
+                    assert factor(size, leg1, leg2, val1, val2) is None
+                elif set(leg1 + leg2) == set(range(size)):
+                    assert [factor(size, leg1, leg2, val1, val2)] == solutions
+                else:
+                    with pytest.raises(UnsupportedCapability, match="not forced"):
+                        factor(size, leg1, leg2, val1, val2)
+        assert cases == 1748
+
+    def test_copair_refuses_injections_that_miss_the_apex(self):
+        # (i1, i2) commutes, and no element of A or B reaches apex element 2
+        f = g = FinMap(FinSetObj(1), FinSetObj(2), (0,))
+        x = FinSetObj(3)
+        witness = PushoutWitness(x, (FinMap(f.cod, x, (0, 1)), FinMap(g.cod, x, (0, 1))), (f, g))
+        with pytest.raises(IllFormedPushout, match="injections do not cover the apex"):
+            copair(witness, identity(f.cod), identity(g.cod))
+
     def test_is_pushout_on_its_own_witness(self):
         f = g = FinMap(FinSetObj(1), FinSetObj(2), (0,))
         assert FINSET.is_pushout(pushout(f, g)) is True
@@ -399,6 +427,12 @@ class TestCoherentStructure:
         s2 = Subobject(two, (1,))
         assert union(s1, s2).elements == (0, 1)
         assert not uncovered([s1.as_mono(), s2.as_mono()])
+
+    def test_joint_epi_is_joint_cover(self):
+        one, three = FinSetObj(1), FinSetObj(3)
+        ends = [FinMap(one, three, (0,)), FinMap(one, three, (2,))]
+        assert FINSET.joint_epi_status(ends) == (False, {"uncovered": 1})
+        assert FINSET.joint_epi_status(ends + [FinMap(one, three, (1,))]) == (True, None)
 
     def test_equalizer_recovers_subobject(self):
         for a in range(1, 5):
@@ -506,10 +540,8 @@ def _relabel_by_pushouts(data, sigma):
     back = inverse(sigma)
     l, r = compose(data.l, sigma), compose(data.r, sigma)
     double = pushout(r, l)
-    old1, old2 = data.double.injections
     nu1, nu2 = double.injections
-    phi = _fill_copair_table(data.double.apex.size, old1.table, old2.table,
-                             compose(sigma, nu1).table, compose(sigma, nu2).table)
+    phi = copair(data.double, compose(sigma, nu1), compose(sigma, nu2)).table
     q = FinMap(data.q1, double.apex, tuple(phi[w] for w in compose(back, data.q).table))
     return CoCategoryData(data.q0, data.q1, l, r, compose(back, data.i), q, double)
 
@@ -990,3 +1022,9 @@ def test_uncovering_legs_force_nothing():
         iso_cocategories(d, d)
     with pytest.raises(UnsupportedCapability):
         FINSET.solve_coinverse(d)
+    # into l' = (0,), r' = (1,) every f0 asks f1(0) to be both 0 and 1,
+    # so no f1 exists whatever it does off im(l): the answer is proven
+    dst = cokernel_pair_cocategory(subset_mono([], FinSetObj(1)))
+    assert (dst.l.table, dst.r.table) == ((0,), (1,))
+    assert cocat_morphisms(d, dst) == []
+    assert iso_cocategories(d, dst) is None
