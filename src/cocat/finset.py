@@ -21,9 +21,9 @@ each map out of Q1 that the axioms fix on im(l) and im(r) is forced,
 not searched, by one function, ``factor``: the co-composition q, a
 co-inverse s, and the f1 of a co-category morphism given its f0.  A
 conflict proves no such map exists; legs that miss Q1 with no conflict
-raise instead of trying every map.  Covering legs are jointly epi, so the
-compat laws that force q imply the counit and co-associativity laws
-too: covering sections l, r of i complete in exactly one way.
+raise instead of trying every map.  Covering legs are jointly epi, so
+the compat laws that force q imply the counit and co-associativity
+laws too: covering sections l, r of i complete in exactly one way.
 
 The kernel is lean but checks everything: there is one ``FinSetObj``
 per size, so objects compare by identity, and a ``FinMap`` is a
@@ -251,8 +251,8 @@ def pushout(f: FinMap, g: FinMap) -> PushoutWitness:
 
 
 def factor(size: int, leg1, leg2, val1, val2) -> Optional[tuple[int, ...]]:
-    """The h on ``range(size)`` with h[leg1[x]] = val1[x], h[leg2[x]] = val2[x];
-    None when two values meet at one element, and a raise where legs miss one."""
+    """h on ``range(size)`` with h[leg1[x]] = val1[x], h[leg2[x]] = val2[x]: None
+    if two values meet at one element, UnsupportedCapability if legs miss one."""
     table: list[Optional[int]] = [None] * size
     for pos, val in zip(leg1, val1):
         if table[pos] is None:
@@ -637,12 +637,13 @@ def _q_candidates(q0: FinSetObj, q1: FinSetObj, l: FinMap, r: FinMap,
     r(i(b)) in im(r), so no w folds back to z on both sides.
 
     Legs that cover Q1 have exactly one, which needs no test: the q that
-    the compat laws q.l = nu1.l and q.r = nu2.r force through ``factor``.  The forced table
-    has no conflict: l(a) = r(b) gives a = i(l(a)) = i(r(b)) = b, and
-    then nu1(l(a)) = nu1(r(a)) = nu2(l(a)) = nu2(r(a)).  Each side of
-    each counit and co-associativity law is a map out of Q1, and the
-    compat laws make the two sides agree after l and after r, which
-    cover Q1 and so are jointly epi."""
+    the compat laws q.l = nu1.l and q.r = nu2.r force through
+    ``factor``.  The forced table has no conflict: l(a) = r(b) gives
+    a = i(l(a)) = i(r(b)) = b, and then nu1(l(a)) = nu1(r(a)) =
+    nu2(l(a)) = nu2(r(a)).  Each side of each counit and
+    co-associativity law is a map out of Q1, and the compat laws make
+    the two sides agree after l and after r, which cover Q1 and so are
+    jointly epi."""
     if uncovered([l, r]):
         return
     double = pushout(r, l)
@@ -723,8 +724,8 @@ def _forced_morphisms(src: CoCategoryData, dst: CoCategoryData,
     """(f0, f1) for each f0 in ``f0s`` whose l- and r-squares agree:
     f1.l = l'.f0 and f1.r = r'.f0 force f1 through ``factor`` on the
     images of src's l and r, which cover its Q1 on every co-category.
-    An f0 whose squares conflict has no f1 and is skipped; the first f0
-    without a conflict, where legs miss Q1, raises
+    An f0 whose squares conflict has no f1 and is skipped.  Where src's
+    legs miss Q1, the first f0 without a conflict raises
     :class:`UnsupportedCapability`."""
     l, r, dl, dr = src.l.table, src.r.table, dst.l.table, dst.r.table
     for f0 in f0s:

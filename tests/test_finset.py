@@ -330,8 +330,8 @@ class TestPushout:
                             FINSET.copair(w, u, v)
 
     def test_factor_by_exhaustion(self):
-        # legs from a set of size <= 2 into one of size <= 3, values in a
-        # set of size <= 2, against every map h out of the size-3 set
+        # legs from a set of size <= 2 into Q1 of size <= 3, values in a
+        # set of size <= 2, against every map h out of Q1
         cases = 0
         for size, a, b in itertools.product(range(4), range(3), range(3)):
             tables = [list(itertools.product(range(n), repeat=a)) for n in (size, size, b, b)]
