@@ -39,10 +39,26 @@ def _abgp_empty_q0() -> core.CoCategoryData:
                                abgp.AbMap(q1, double.apex, stacked), double)
 
 
+def _abgp_cokernel() -> core.CoCategoryData:
+    # the cokernel pair of (1, 2): Z -> Z^2, a direct summand, so Q1 is
+    # free; a co-preorder, whose counits and co-associativity the axiom
+    # checker reads off the compat and section laws
+    z, z2 = abgp.free_group(1), abgp.free_group(2)
+    return core.cokernel_pair(abgp.ABGP, abgp.AbMap(z, z2, IntMatrix.from_rows([[1], [2]])))
+
+
 def _abgp_torsion() -> core.CoCategoryData:
     # the cokernel pair of 2: Z -> Z, whose Q1 has Z/2 torsion
     z = abgp.free_group(1)
     return core.cokernel_pair(abgp.ABGP, abgp.AbMap(z, z, IntMatrix.from_rows([[2]])))
+
+
+def _chain_cokernel() -> core.CoCategoryData:
+    # the cokernel pair of 0 -> X, X the interval (two vertices, one
+    # edge): Q1 = X + X, a co-preorder like the abgp cokernel pair
+    x = chain.ChainComplex((2, 1), (IntMatrix.from_rows([[-1], [1]]),))
+    zero = chain.ChainMap(chain.zero_complex(2), x, tuple(IntMatrix.zeros(n, 0) for n in x.ranks))
+    return core.cokernel_pair(chain.CH, zero)
 
 
 def _cat_big() -> core.CoCategoryData:
@@ -56,7 +72,10 @@ def _cat_composite() -> core.CoCategoryData:
     """Q0 the point, Q1 the chain 0 -> 1 -> 2 with the composite a.b, l
     picking 0 and r picking 2, q sending a, b and a.b across the two
     glued copies.  Not a co-category (both counits and co-associativity
-    fail): it pins the ``-compose`` rows of the document layer."""
+    fail): it pins the ``-compose`` rows of the document layer.  It is
+    also the golden of the axiom checker's full path: the compat and
+    section laws hold, but l and r are not jointly epi, so the counits
+    and co-associativity are checked through the triple pushout."""
     q0 = fincat.terminal_category()
     # morphisms: id0, id1, id2, a: 0 -> 1, b: 1 -> 2, a.b: 0 -> 2
     src, tgt = (0, 1, 2, 0, 1, 0), (0, 1, 2, 1, 2, 2)
@@ -89,6 +108,8 @@ DOCUMENTS = {
     "cat": ("cat", fincat.interval_cocategory),
     "abgp-empty-q0": ("abgp", _abgp_empty_q0),
     "abgp-torsion": ("abgp", _abgp_torsion),
+    "abgp-cokernel": ("abgp", _abgp_cokernel),
+    "chain-cokernel": ("chain", _chain_cokernel),
     "cat-big": ("cat", _cat_big),
     "cat-composite": ("cat", _cat_composite),
 }
