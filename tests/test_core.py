@@ -6,6 +6,7 @@ the axiom checker as it stood when every structure carried its triple
 pushout, kept as the reference for :func:`check_cocategory`."""
 
 import pytest
+from hypothesis import given, reject, settings
 
 from cocat.core import (
     Check,
@@ -14,6 +15,7 @@ from cocat.core import (
     CoconeMismatch,
     IllFormedPushout,
     InvariantViolation,
+    NotFree,
     Op,
     OpMap,
     PushoutWitness,
@@ -31,7 +33,14 @@ from cocat.core import (
     triple_pushout,
 )
 from cocat.abgp import ABGP, AbMap, FgAbGroup, free_group, group_example_cocategory
-from cocat.chain import CH, ChainComplex, ChainMap, chain_example_cocategory, chain_identity
+from cocat.chain import (
+    CH,
+    ChainComplex,
+    ChainMap,
+    chain_example_cocategory,
+    chain_identity,
+    zero_complex,
+)
 from cocat.fincat import CAT, arrow_category, functor_identity, interval_cocategory
 from cocat.intmatrix import IntMatrix
 from cocat.finset import (
@@ -50,7 +59,10 @@ from cocat.finset import (
     universal_cocategory,
 )
 from test_abgp import _dualised_sweep
+from test_abgp import coreflexive_pairs as abgp_coreflexive_pairs
+from test_chain import coreflexive_pairs as chain_coreflexive_pairs
 from test_fincat import discrete_cokernel, walking_iso_interval
+from test_golden import _cat_composite
 
 
 @pytest.fixture
@@ -126,13 +138,52 @@ class TestAxioms:
 
     def test_host_error_on_the_triple_is_raised(self, pair_example):
         # the checker builds the triple pushout itself; a host that
-        # cannot build it raises, rather than failing an axiom
+        # cannot build it raises, rather than failing an axiom.  This
+        # host does not decide joint epimorphy, so the triple is needed
         class NoPushouts(FinSet):
             def pushout(self, f, g):
                 raise ClosureExceeded("no pushouts here")
 
+            def joint_epi_status(self, maps):
+                return None, None
+
         with pytest.raises(ClosureExceeded, match="no pushouts here"):
             check_cocategory(NoPushouts(), pair_example)
+
+    def test_copreorder_needs_no_pushout(self, pair_example):
+        # l and r are jointly epi, so the counits and co-associativity
+        # follow from the compat and section laws
+        class NoPushouts(FinSet):
+            def pushout(self, f, g):
+                raise ClosureExceeded("no pushouts here")
+
+        report = check_cocategory(NoPushouts(), pair_example)
+        assert report.ok and len(report.checks) == 7
+
+    @pytest.mark.parametrize("cat, build, built", [
+        (FINSET, lambda: cokernel_pair_cocategory(subset_mono([0], FinSetObj(2))), 0),
+        (ABGP, lambda: cokernel_pair(ABGP, AbMap(free_group(1), free_group(2),
+                                                 IntMatrix.from_rows([[1], [2]]))), 0),
+        (CH, lambda: cokernel_pair(CH, chain_identity(_interval)), 0),
+        (CH, lambda: cokernel_pair(CH, ChainMap(zero_complex(2), _interval,
+                                                (IntMatrix.zeros(2, 0), IntMatrix.zeros(1, 0)))), 0),
+        (CAT, lambda: discrete_cokernel(3, 2), 0),
+        (ABGP, group_example_cocategory, 1),
+        (CAT, interval_cocategory, 1),
+    ], ids=["finset-cokernel", "abgp-cokernel", "chain-cokernel-identity",
+            "chain-cokernel-zero", "cat-cokernel", "abgp-example", "cat-interval"])
+    def test_triple_pushout_only_off_jointly_epi_legs(self, cat, build, built):
+        # the one pushout the full check builds is the triple's
+        data = build()
+        calls = []
+
+        class Counting(type(cat)):
+            def pushout(self, f, g):
+                calls.append((f, g))
+                return super().pushout(f, g)
+
+        assert check_cocategory(Counting(), data).ok
+        assert len(calls) == built
 
 
 class TestClassify:
@@ -421,9 +472,25 @@ def _transposed_triple(icat):
                           tuple(map(there, triple.legs)))
 
 
+def _forced_q_data(cat, l, r, i):
+    """The co-category on an additive co-reflexive pair, with the forced
+    q = nu1 + nu2 - nu1.r.i, degree by degree in chain complexes."""
+    q1 = l.cod
+    double = cat.pushout(r, l)
+    n1, n2 = double.injections
+    if cat is ABGP:
+        q = AbMap(q1, double.apex, n1.matrix + n2.matrix - n1.matrix @ r.matrix @ i.matrix)
+    else:
+        q = ChainMap(q1, double.apex, tuple(m1 + m2 - m1 @ rd @ id_ for m1, m2, rd, id_ in zip(
+            n1.mats, n2.mats, r.mats, i.mats)))
+    return CoCategoryData(l.dom, q1, l, r, i, q, double)
+
+
 class TestReferenceChecker:
     """``check_cocategory`` gives the reference's report, axiom by axiom
-    and detail by detail."""
+    and detail by detail, whether it reads the counits and
+    co-associativity off jointly epi legs or checks them through the
+    triple pushout."""
 
     @staticmethod
     def _agree(cat, data, triple=None):
@@ -465,3 +532,35 @@ class TestReferenceChecker:
         # reference gets the pullback of composable triples for them
         assert (len(verdicts), transposed) == (105, 103)
         assert (verdicts.count(True), verdicts.count(False)) == (51, 54)
+
+    def test_cat_composite_takes_the_full_path(self):
+        # the compat and section laws hold, but l and r are not jointly
+        # epi, so the counits and co-associativity are checked, and fail
+        data = _cat_composite()
+        assert CAT.joint_epi_status((data.l, data.r))[0] is False
+        report = self._agree(CAT, data)
+        assert report.failures == ("left-counit", "right-counit", "coassoc")
+
+    @pytest.mark.parametrize("c", range(5))
+    def test_cat_cokernels_of_the_empty_category(self, c):
+        # the legs' images generate discrete(c) + discrete(c)
+        data = discrete_cokernel(c, 0)
+        assert CAT.joint_epi_status((data.l, data.r)) == (True, None)
+        assert self._agree(CAT, data).ok
+
+    @given(abgp_coreflexive_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_abgp_coreflexive_pairs(self, lri):
+        assert self._agree(ABGP, _forced_q_data(ABGP, *lri)).ok
+
+    @given(chain_coreflexive_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_chain_coreflexive_pairs(self, lri):
+        try:
+            data = _forced_q_data(CH, *lri)
+            triple = triple_pushout(CH, data.double)
+        except NotFree:
+            # a free pushout that keeps a relator with no unit entry, as
+            # in TestChainPushout.test_free_pushout_with_no_unit_relator
+            reject()
+        assert self._agree(CH, data, triple).ok
