@@ -321,25 +321,28 @@ def classify_cmd(category: str, path: str, fmt: str) -> None:
         value = getattr(cls, flag)
         report.summary[flag.replace("_", "-")] = "unknown" if value is None else value
     for key, witness in sorted(cls.witnesses.items()):
-        report.summary[f"witness-{key}"] = _show_witness(witness, category)
+        report.summary[f"witness-{key}"] = _show_witness(witness, category, fmt)
     _emit(report, fmt)
 
 
-def _show_witness(witness, category: str) -> str:
-    """A witness on one line; test categories and functor pairs, which
-    only the cat host builds, are shown by their size."""
-    if not isinstance(witness, dict):
-        return str(witness)
-    parts = []
-    for key, value in witness.items():
-        if category == "cat":
-            from . import fincat
+def _show_witness(witness, category: str, fmt: str):
+    """A witness as a JSON value (json writes a tuple as a list and a
+    dict as an object), or on one line for human output; test categories
+    and functor pairs, which only the cat host builds, are shown by
+    their size."""
+    if isinstance(witness, dict) and category == "cat":
+        from . import fincat
+        witness = dict(witness)
+        for key, value in witness.items():
             if isinstance(value, fincat.FinCategory):
-                value = f"<category with {value.n_morphisms} morphisms>"
+                witness[key] = f"<category with {value.n_morphisms} morphisms>"
             elif isinstance(value, tuple) and value and isinstance(value[0], fincat.FunctorData):
-                value = "<functor pair>"
-        parts.append(f"{key}={value}")
-    return ", ".join(parts)
+                witness[key] = "<functor pair>"
+    if fmt == "json":
+        return witness
+    if isinstance(witness, dict):
+        return ", ".join(f"{key}={value}" for key, value in witness.items())
+    return str(witness)
 
 
 # ---------------------------------------------------------------------------
