@@ -33,14 +33,7 @@ from cocat.core import (
     triple_pushout,
 )
 from cocat.abgp import ABGP, AbMap, FgAbGroup, free_group, group_example_cocategory
-from cocat.chain import (
-    CH,
-    ChainComplex,
-    ChainMap,
-    chain_example_cocategory,
-    chain_identity,
-    zero_complex,
-)
+from cocat.chain import CH, ChainComplex, ChainMap, chain_example_cocategory, chain_identity
 from cocat.fincat import CAT, arrow_category, functor_identity, interval_cocategory
 from cocat.intmatrix import IntMatrix
 from cocat.finset import (
@@ -62,7 +55,7 @@ from test_abgp import _dualised_sweep
 from test_abgp import coreflexive_pairs as abgp_coreflexive_pairs
 from test_chain import coreflexive_pairs as chain_coreflexive_pairs
 from test_fincat import discrete_cokernel, walking_iso_interval
-from test_golden import _cat_composite
+from test_golden import _abgp_cokernel, _cat_composite, _chain_cokernel
 
 
 @pytest.fixture
@@ -136,14 +129,15 @@ class TestAxioms:
             check_cocategory(FINSET, CoCategoryData(
                 d.q0, d.q1, d.l, d.r, d.i, q, fake))
 
+    class NoPushouts(FinSet):
+        def pushout(self, f, g):
+            raise ClosureExceeded("no pushouts here")
+
     def test_host_error_on_the_triple_is_raised(self, pair_example):
         # the checker builds the triple pushout itself; a host that
         # cannot build it raises, rather than failing an axiom.  This
         # host does not decide joint epimorphy, so the triple is needed
-        class NoPushouts(FinSet):
-            def pushout(self, f, g):
-                raise ClosureExceeded("no pushouts here")
-
+        class NoPushouts(self.NoPushouts):
             def joint_epi_status(self, maps):
                 return None, None
 
@@ -153,20 +147,14 @@ class TestAxioms:
     def test_copreorder_needs_no_pushout(self, pair_example):
         # l and r are jointly epi, so the counits and co-associativity
         # follow from the compat and section laws
-        class NoPushouts(FinSet):
-            def pushout(self, f, g):
-                raise ClosureExceeded("no pushouts here")
-
-        report = check_cocategory(NoPushouts(), pair_example)
+        report = check_cocategory(self.NoPushouts(), pair_example)
         assert report.ok and len(report.checks) == 7
 
     @pytest.mark.parametrize("cat, build, built", [
         (FINSET, lambda: cokernel_pair_cocategory(subset_mono([0], FinSetObj(2))), 0),
-        (ABGP, lambda: cokernel_pair(ABGP, AbMap(free_group(1), free_group(2),
-                                                 IntMatrix.from_rows([[1], [2]]))), 0),
+        (ABGP, _abgp_cokernel, 0),
         (CH, lambda: cokernel_pair(CH, chain_identity(_interval)), 0),
-        (CH, lambda: cokernel_pair(CH, ChainMap(zero_complex(2), _interval,
-                                                (IntMatrix.zeros(2, 0), IntMatrix.zeros(1, 0)))), 0),
+        (CH, _chain_cokernel, 0),
         (CAT, lambda: discrete_cokernel(3, 2), 0),
         (ABGP, group_example_cocategory, 1),
         (CAT, interval_cocategory, 1),
